@@ -15,7 +15,12 @@ from fractions import Fraction
 from math import ceil, factorial, floor
 from typing import Sequence
 
-from .matrix import col_dominates, row_dominates
+from .matrix import (
+    best_col_response_value,
+    best_row_response_value,
+    col_dominates,
+    row_dominates,
+)
 from .model import (
     BehavioralStrategy,
     BudgetExceeded,
@@ -310,13 +315,8 @@ def check_theorem1(spec: GameSpec) -> CheckReport:
     for key in _decision_classes(result):
         game = stage_matrix(spec, result.value_table, key)
         value = result.value_table[key]
-        r, c = game.rows, game.cols
-        row_guarantee = min(
-            sum((game.payoff[i][j] for i in range(r)), _ZERO) / r for j in range(c)
-        )
-        col_guarantee = max(
-            sum((game.payoff[i][j] for j in range(c)), _ZERO) / c for i in range(r)
-        )
+        row_guarantee = best_col_response_value(game, [Fraction(1, game.rows)] * game.rows)
+        col_guarantee = best_row_response_value(game, [Fraction(1, game.cols)] * game.cols)
         if row_guarantee < value or col_guarantee > value:
             witnesses.append(_class_label(key, m, n))
     return CheckReport(

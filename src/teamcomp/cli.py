@@ -156,8 +156,8 @@ def _cmd_abandon_delta(args) -> int:
         except ValueError:
             raise GameModelError(f"bad player number {chunk!r} (use 1-based integers)", "PARSE")
         players.append(number - 1)
-    before = solve(spec).root_value
-    after = solve(analysis.abandon(spec, args.team, players)).root_value
+    before = solve(spec, class_budget=args.budget).root_value
+    after = solve(analysis.abandon(spec, args.team, players), class_budget=args.budget).root_value
     delta = before - after if args.team == 1 else after - before
     _emit(
         {
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--Cmax", type=int, default=4)
     p.add_argument("--utility", choices=["UE", "UM"])
-    p.add_argument("--budget", type=int, default=DEFAULT_CLASS_BUDGET)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="search recruiting gains over random instances")

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .analysis import add_dominated
 from .model import (
+    GameModelError,
     GameSpec,
     StrengthMatrix,
     ValidationError,
@@ -304,11 +305,10 @@ def sweep(config: SearchConfig) -> SweepSummary:
             records.append(
                 max_gain(spec, cap, index=index, utility_name=utility)
             )
-        except Exception as exc:  # per-instance budget/size failures
-            if getattr(exc, "code", "") in ("BUDGET", "SIZE"):
-                skipped.append(index)
-            else:
+        except GameModelError as exc:  # per-instance budget/size failures
+            if exc.code not in ("BUDGET", "SIZE"):
                 raise
+            skipped.append(index)
     best = _ZERO
     witness: GainRecord | None = None
     for record in records:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 #: Upper bound on players per team so subset keys fit comfortably in a pair of
 #: machine-word bit sets and the class table stays desk-scale.
@@ -308,13 +308,6 @@ ROOT_CLASS = HistoryClassKey(0, 0, 0)
 def unplayed(mask: int, size: int) -> list[int]:
     """Ascending indices of the players not yet used."""
     return [i for i in range(size) if not (mask >> i) & 1]
-
-
-def mask_of(players: Iterable[int]) -> int:
-    out = 0
-    for p in players:
-        out |= 1 << p
-    return out
 
 
 @dataclass(frozen=True)

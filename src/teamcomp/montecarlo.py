@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GameSpec, HistoryClassKey, validate_spec
+from .model import GameSpec, HistoryClassKey, ValidationError, validate_spec
 from .solver import Strategy, _distribution_at
 
 
@@ -45,7 +45,7 @@ def simulate_competitions(
     """Play ``samples`` independent contests and summarize Team-1 utility."""
     validate_spec(spec)
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ValidationError(f"need at least one sample, got {samples}", "SIZE")
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     win_prob = [[float(p) for p in row] for row in spec.strength.entries]
     utility = [float(u) for u in spec.utility.values]

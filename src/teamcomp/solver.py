@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -56,12 +56,57 @@ def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
     )
 
 
-def _masks(size: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _masks(size: int, k: int) -> Iterator[int]:
     for combo in itertools.combinations(range(size), k):
         mask = 0
         for i in combo:
             mask |= 1 << i
-        yield mask, combo
+        yield mask
+
+
+# The match rule, written once.  Team-1 player i meets Team-2 player j and
+# wins with probability p: the contest moves to wins+1 when p > 0 and stays at
+# wins when p < 1.  Forward passes walk the successor classes; backward passes
+# blend the successor values without building them.
+
+def _successors(
+    key: HistoryClassKey, i: int, j: int, p: Fraction
+) -> tuple[tuple[HistoryClassKey, Fraction], ...]:
+    """Classes the match (i, j) at ``key`` leads to, each with its probability."""
+    xm, ym, wins = key
+    xm, ym = xm | (1 << i), ym | (1 << j)
+    if p == 1:
+        return ((HistoryClassKey(xm, ym, wins + 1), _ONE),)
+    if p == 0:
+        return ((HistoryClassKey(xm, ym, wins), _ONE),)
+    return ((HistoryClassKey(xm, ym, wins + 1), p), (HistoryClassKey(xm, ym, wins), 1 - p))
+
+
+def _blend(
+    values: Mapping[HistoryClassKey, Fraction], xm: int, ym: int, wins: int, p: Fraction
+) -> Fraction:
+    """Expected successor value of a match won with probability ``p``; the
+    masks ``xm``/``ym`` already include the two players who met."""
+    if p == 1:
+        return values[(xm, ym, wins + 1)]
+    if p == 0:
+        return values[(xm, ym, wins)]
+    return p * values[(xm, ym, wins + 1)] + (1 - p) * values[(xm, ym, wins)]
+
+
+def _reach(
+    spec: GameSpec, key: HistoryClassKey, team: int, picks: Iterable[int]
+) -> set[HistoryClassKey]:
+    """Classes one round after ``key`` when ``team`` commits one of ``picks``
+    and the other team commits any of its unused players."""
+    strength = spec.strength.entries
+    if team == 1:
+        others = unplayed(key.played2, spec.team2_size)
+        pairs = [(i, j) for i in picks for j in others]
+    else:
+        others = unplayed(key.played1, spec.team1_size)
+        pairs = [(i, j) for j in picks for i in others]
+    return {succ for i, j in pairs for succ, _ in _successors(key, i, j, strength[i][j])}
 
 
 @dataclass(frozen=True)
@@ -97,25 +142,13 @@ def stage_matrix(
     if k >= spec.rounds:
         raise TerminalClassError(f"class at round {k} of {spec.rounds} has no stage game")
     strength = spec.strength.entries
-    row_players = unplayed(xm, m)
-    col_players = unplayed(ym, n)
+    cols = [(j, ym | (1 << j)) for j in unplayed(ym, n)]
     payoff = []
-    for i in row_players:
-        xm_next = xm | (1 << i)
-        row = []
-        for j in col_players:
-            ym_next = ym | (1 << j)
-            p = strength[i][j]
-            if p == 1:
-                cell = values[(xm_next, ym_next, wins + 1)]
-            elif p == 0:
-                cell = values[(xm_next, ym_next, wins)]
-            else:
-                cell = p * values[(xm_next, ym_next, wins + 1)] + (1 - p) * values[
-                    (xm_next, ym_next, wins)
-                ]
-            row.append(cell)
-        payoff.append(tuple(row))
+    for i in unplayed(xm, m):
+        xm_next, row = xm | (1 << i), strength[i]
+        payoff.append(
+            tuple([_blend(values, xm_next, ym_next, wins, row[j]) for j, ym_next in cols])
+        )
     return MatrixGame(tuple(payoff))
 
 
@@ -138,15 +171,15 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     moves2: dict[HistoryClassKey, dict[int, Fraction]] = {}
     utility = spec.utility.values
 
-    for xmask, _ in _masks(m, rounds):
-        for ymask, _ in _masks(n, rounds):
+    for xmask in _masks(m, rounds):
+        for ymask in _masks(n, rounds):
             for wins in range(rounds + 1):
                 values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
 
     for k in range(rounds - 1, -1, -1):
-        for xmask, _ in _masks(m, k):
+        for xmask in _masks(m, k):
             row_players = unplayed(xmask, m)
-            for ymask, _ in _masks(n, k):
+            for ymask in _masks(n, k):
                 col_players = unplayed(ymask, n)
                 for wins in range(k + 1):
                     key = HistoryClassKey(xmask, ymask, wins)
@@ -174,8 +207,8 @@ def uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     moves: dict[HistoryClassKey, dict[int, Fraction]] = {}
     for k in range(rounds):
         weight = Fraction(1, own_size - k)
-        for xmask, _ in _masks(m, k):
-            for ymask, _ in _masks(n, k):
+        for xmask in _masks(m, k):
+            for ymask in _masks(n, k):
                 own_mask = xmask if team == 1 else ymask
                 dist = {i: weight for i in unplayed(own_mask, own_size)}
                 for wins in range(k + 1):
@@ -243,24 +276,9 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
     for k in range(rounds):
         frontier: set[HistoryClassKey] = set()
         for key in levels[k]:
-            xm, ym, wins = key
-            own_mask, own_size = (xm, m) if fixed_is_team1 else (ym, n)
-            dist = _distribution_at(fixed, key, own_mask, own_size)
-            dists[key] = dist
-            free_mask, free_size = (ym, n) if fixed_is_team1 else (xm, m)
-            free_players = unplayed(free_mask, free_size)
-            for fixed_player in dist:
-                for free_player in free_players:
-                    if fixed_is_team1:
-                        i, j = fixed_player, free_player
-                    else:
-                        i, j = free_player, fixed_player
-                    p = strength[i][j]
-                    xm2, ym2 = xm | (1 << i), ym | (1 << j)
-                    if p > 0:
-                        frontier.add(HistoryClassKey(xm2, ym2, wins + 1))
-                    if p < 1:
-                        frontier.add(HistoryClassKey(xm2, ym2, wins))
+            own_mask, own_size = (key.played1, m) if fixed_is_team1 else (key.played2, n)
+            dist = dists[key] = _distribution_at(fixed, key, own_mask, own_size)
+            frontier |= _reach(spec, key, fixed.team, dist)
         levels.append(frontier)
 
     utility = spec.utility.values
@@ -281,13 +299,7 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
                     else:
                         i, j = free_player, fixed_player
                     p = strength[i][j]
-                    xm2, ym2 = xm | (1 << i), ym | (1 << j)
-                    branch = _ZERO
-                    if p > 0:
-                        branch += p * best[(xm2, ym2, wins + 1)]
-                    if p < 1:
-                        branch += (1 - p) * best[(xm2, ym2, wins)]
-                    expected += weight * branch
+                    expected += weight * _blend(best, xm | (1 << i), ym | (1 << j), wins, p)
                 candidates.append(expected)
             # The free team optimizes Team-1 utility in its own direction.
             best[key] = min(candidates) if fixed_is_team1 else max(candidates)
@@ -330,13 +342,9 @@ def matching_distribution(
                 for j, w2 in dist2.items():
                     move_prob = prob * w1 * w2
                     pairs_next = tuple(sorted(pairs + ((i, j),)))
-                    p = strength[i][j]
-                    if p > 0:
-                        state = (pairs_next, wins + 1)
-                        nxt[state] = nxt.get(state, _ZERO) + move_prob * p
-                    if p < 1:
-                        state = (pairs_next, wins)
-                        nxt[state] = nxt.get(state, _ZERO) + move_prob * (1 - p)
+                    for succ, q in _successors(key, i, j, strength[i][j]):
+                        state = (pairs_next, succ.wins)
+                        nxt[state] = nxt.get(state, _ZERO) + move_prob * q
         states = nxt
 
     result: dict[tuple[int, ...], Fraction] = {}
@@ -372,14 +380,8 @@ def meeting_probabilities(
                 for j, w2 in dist2.items():
                     move_prob = prob * w1 * w2
                     grid[i][j] += move_prob
-                    xm2, ym2 = xm | (1 << i), ym | (1 << j)
-                    p = strength[i][j]
-                    if p > 0:
-                        state = HistoryClassKey(xm2, ym2, wins + 1)
-                        nxt[state] = nxt.get(state, _ZERO) + move_prob * p
-                    if p < 1:
-                        state = HistoryClassKey(xm2, ym2, wins)
-                        nxt[state] = nxt.get(state, _ZERO) + move_prob * (1 - p)
+                    for succ, q in _successors(key, i, j, strength[i][j]):
+                        nxt[succ] = nxt.get(succ, _ZERO) + move_prob * q
         states = nxt
     return tuple(tuple(row) for row in grid)
 
@@ -397,28 +399,9 @@ def enumerate_pure_strategies(
     """
     validate_spec(spec)
     _require_team(team)
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    own_size = m if team == 1 else n
-    opp_size = n if team == 1 else m
-    strength = spec.strength.entries
+    rounds = spec.rounds
+    own_size = spec.team1_size if team == 1 else spec.team2_size
     produced = 0
-
-    def children(key: HistoryClassKey, choice: int) -> set[HistoryClassKey]:
-        xm, ym, wins = key
-        kids: set[HistoryClassKey] = set()
-        opp_mask = ym if team == 1 else xm
-        for opp in unplayed(opp_mask, opp_size):
-            if team == 1:
-                i, j = choice, opp
-            else:
-                i, j = opp, choice
-            p = strength[i][j]
-            xm2, ym2 = xm | (1 << i), ym | (1 << j)
-            if p > 0:
-                kids.add(HistoryClassKey(xm2, ym2, wins + 1))
-            if p < 1:
-                kids.add(HistoryClassKey(xm2, ym2, wins))
-        return kids
 
     def expand(
         frontier: tuple[HistoryClassKey, ...],
@@ -443,7 +426,7 @@ def enumerate_pure_strategies(
             else:
                 frontier_next: set[HistoryClassKey] = set()
                 for key, choice in zip(frontier, combo):
-                    frontier_next |= children(key, choice)
+                    frontier_next |= _reach(spec, key, team, (choice,))
                 yield from expand(tuple(sorted(frontier_next)), level + 1, assignment)
             for key in frontier:
                 del assignment[key]
@@ -470,14 +453,14 @@ def max_meeting_probability(
         raise ValidationError("player index out of range", "INDEX")
 
     values: dict[tuple[int, int], Fraction] = {}
-    for xmask, _ in _masks(m, rounds):
-        for ymask, _ in _masks(n, rounds):
+    for xmask in _masks(m, rounds):
+        for ymask in _masks(n, rounds):
             values[(xmask, ymask)] = _ZERO
     for k in range(rounds - 1, -1, -1):
         level: dict[tuple[int, int], Fraction] = {}
-        for xmask, _ in _masks(m, k):
+        for xmask in _masks(m, k):
             row_gone = (xmask >> row_player) & 1
-            for ymask, _ in _masks(n, k):
+            for ymask in _masks(n, k):
                 if row_gone or (ymask >> col_player) & 1:
                     level[(xmask, ymask)] = _ZERO
                     continue

@@ -101,6 +101,16 @@ class TestOtherCommands:
         assert doc["delta"] == "2/3"
         assert doc["abandoned"] == ["A4"]
 
+    def test_abandon_delta_budget_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "abandon-delta", "--example", "ex3", "--utility", "UM",
+            "--players", "4", "--budget", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error[BUDGET]" in err
+
     def test_gamma_round_trip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gamma", "--C", "3", "--a", "0", "--b", "0")
         assert code == 0
@@ -129,6 +139,12 @@ class TestOtherCommands:
         doc = json.loads(runs[0][1])
         assert doc["exact_value"] == "-1/3"
         assert doc["within_four_stderr"] is True
+
+    def test_simulate_zero_samples_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--example", "card", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
 
 
 class TestVerifyCommand:

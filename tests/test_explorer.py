@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from teamcomp import explorer
 from teamcomp.analysis import abandon
 from teamcomp.explorer import (
     SearchConfig,
@@ -136,6 +137,24 @@ class TestSweep:
             "counterexample candidate: observed gain exceeds the conjectured bound",
         )
         assert doc["max_gain"].count("/") <= 1
+
+    def test_oversized_instances_are_skipped(self):
+        # One recruit takes a 20-player Team 1 past the 20-player limit.
+        config = SearchConfig(
+            seed=0, instances=2, t_range=(1, 1), m_range=(20, 20), max_recruits=1
+        )
+        summary = sweep(config)
+        assert summary.records == ()
+        assert summary.skipped == (0, 1)
+        assert summary.to_document()["skipped"] == [0, 1]
+
+    def test_other_model_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValidationError("broken instance", "PARSE")
+
+        monkeypatch.setattr(explorer, "max_gain", broken)
+        with pytest.raises(ValidationError):
+            sweep(SearchConfig(seed=0, instances=1))
 
     def test_default_caps(self):
         assert default_recruit_cap(4, "UE") == 3
