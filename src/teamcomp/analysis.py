@@ -454,8 +454,7 @@ def check_lemma2(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
     uniform1 = uniform_strategy(spec, 1)
     witnesses = []
     count = 0
-    for pure in enumerate_pure_strategies(spec, 2, budget=enum_budget):
-        count += 1
+    for count, pure in enumerate(enumerate_pure_strategies(spec, 2, budget=enum_budget), start=1):
         dist = matching_distribution(spec, uniform1, pure)
         if len(dist) != factorial(rounds) or any(p != expected for p in dist.values()):
             witnesses.append(f"strategy #{count} skews the matching distribution")
@@ -487,7 +486,7 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
     worst = _ZERO
     for i in range(m):
         for j in range(n):
-            peak = max_meeting_probability(spec, i, j, maximizer=1)
+            peak = max_meeting_probability(spec, i, j)
             if peak > worst:
                 worst = peak
             if peak > bound:
@@ -495,19 +494,13 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
                     f"{player_label(1, i)} can meet {player_label(2, j)} "
                     f"with probability {peak} > {bound}"
                 )
-    # Per-strategy grids only when the enumeration fits the budget; count
-    # first (cheap) so no grid work is wasted on a doomed enumeration.
+    # Per-strategy grids only when the enumeration fits the budget; the
+    # enumeration settles that before it yields its first strategy.
+    uniform2 = uniform_strategy(spec, 2)
     strategies_checked = 0
     enumerated = True
     try:
-        for _ in enumerate_pure_strategies(spec, 1, budget=enum_budget):
-            strategies_checked += 1
-    except BudgetExceeded:
-        enumerated = False
-        strategies_checked = 0
-    if enumerated:
-        uniform2 = uniform_strategy(spec, 2)
-        for count, pure in enumerate(
+        for strategies_checked, pure in enumerate(
             enumerate_pure_strategies(spec, 1, budget=enum_budget), start=1
         ):
             grid = meeting_probabilities(spec, pure, uniform2)
@@ -515,10 +508,12 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
                 for j, q in enumerate(row):
                     if q > bound:
                         witnesses.append(
-                            f"pure strategy #{count} meets "
+                            f"pure strategy #{strategies_checked} meets "
                             f"({player_label(1, i)}, {player_label(2, j)}) "
                             f"with probability {q} > {bound}"
                         )
+    except BudgetExceeded:
+        enumerated = False
     return CheckReport(
         check="lemma5",
         params={

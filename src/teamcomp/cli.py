@@ -36,6 +36,7 @@ from .model import (
     GameModelError,
     GameSpec,
     HistoryClassKey,
+    ValidationError,
     document_from_spec,
     format_rational,
     load_spec,
@@ -205,6 +206,13 @@ def _suite_rng(seed: int, suite: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{index}")
 
 
+def _rounds_pool(args, default: list[int]) -> list[int]:
+    """Round counts a suite draws from: ``--T`` alone when given."""
+    if args.T is not None and args.T < 1:
+        raise ValidationError(f"--T must be >= 1, got {args.T}", "SIZE")
+    return default if args.T is None else [args.T]
+
+
 def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
     return {
         "name": name,
@@ -215,7 +223,7 @@ def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
 
 
 def _suite_theorem1(args) -> list[dict]:
-    rounds_pool = [args.T] if args.T else [2, 3, 4]
+    rounds_pool = _rounds_pool(args, [2, 3, 4])
     entries = []
     for index in range(args.instances):
         rng = _suite_rng(args.seed, "theorem1", index)
@@ -230,7 +238,7 @@ def _suite_theorem2(args) -> list[dict]:
     entries = []
     for index in range(args.instances):
         rng = _suite_rng(args.seed, "theorem2", index)
-        rounds = rng.choice([args.T] if args.T else [2, 3, 4])
+        rounds = rng.choice(_rounds_pool(args, [2, 3, 4]))
         m = rng.randint(rounds, min(6, rounds + 2))
         n = rng.randint(rounds, min(6, rounds + 2))
         utility = rng.choice(["UE", "UM"])
@@ -245,7 +253,7 @@ def _suite_theorem3(args) -> list[dict]:
     entries = []
     for index in range(args.instances):
         rng = _suite_rng(args.seed, "theorem3", index)
-        rounds = rng.choice([args.T] if args.T else [2, 3])
+        rounds = rng.choice(_rounds_pool(args, [2, 3]))
         m = rounds + rng.randint(1, 2)
         spec = explorer.random_weak_tail_spec(rng, rounds, m, 6)
         entries.append(_entry(f"theorem3[{index}]", check_theorem3(spec)))
@@ -256,7 +264,7 @@ def _suite_theorem3(args) -> list[dict]:
 
 
 def _suite_theorem4(args) -> list[dict]:
-    rounds_pool = [args.T] if args.T else [2, 3, 4]
+    rounds_pool = _rounds_pool(args, [2, 3, 4])
     variants = [args.utility.upper()] if args.utility else ["UE", "UM"]
     return [
         _entry(f"theorem4[T={rounds},{variant}]", check_theorem4(rounds, variant))
@@ -269,7 +277,7 @@ def _suite_lemma2(args) -> list[dict]:
     entries = []
     for index in range(args.instances):
         rng = _suite_rng(args.seed, "lemma2", index)
-        rounds = rng.choice([args.T] if args.T else [2, 3])
+        rounds = rng.choice(_rounds_pool(args, [2, 3]))
         spec = explorer.random_square_spec(rng, rounds, 6, "UE")
         entries.append(_entry(f"lemma2[{index}]", check_lemma2(spec)))
     return entries
@@ -279,7 +287,7 @@ def _suite_lemma5(args) -> list[dict]:
     entries = []
     for index in range(args.instances):
         rng = _suite_rng(args.seed, "lemma5", index)
-        rounds = rng.choice([args.T] if args.T else [2, 3])
+        rounds = rng.choice(_rounds_pool(args, [2, 3]))
         m = rounds + rng.randint(1, 2)
         spec = explorer.random_weak_tail_spec(rng, rounds, m, 6)
         entries.append(_entry(f"lemma5[{index}]", check_lemma5(spec)))
@@ -302,6 +310,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be >= 1, got {args.instances}", "SIZE")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     entries: list[dict] = []
     for name in names:
@@ -315,7 +325,7 @@ def _cmd_sweep(args) -> int:
     config = explorer.SearchConfig(
         seed=args.seed,
         instances=args.instances,
-        t_range=(2, args.T) if args.T else (2, 3),
+        t_range=(2, args.T) if args.T is not None else (2, 3),
         utility=args.utility or "UM",
         max_recruits=args.max_recruits,
     )

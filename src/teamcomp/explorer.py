@@ -39,6 +39,9 @@ from .solver import DEFAULT_CLASS_BUDGET, solve
 
 _ZERO = Fraction(0)
 
+# Share of generated instances drawn as 0/1 permutation patterns.
+_STRUCTURED_SHARE = 0.25
+
 
 @lru_cache(maxsize=None)
 def rationals_up_to_denominator(bound: int) -> tuple[Fraction, ...]:
@@ -144,7 +147,6 @@ class SearchConfig:
     denominator_bound: int = 4
     utility: str = "UM"
     max_recruits: int | None = None
-    structured_share: Fraction = Fraction(1, 4)
 
     def validate(self) -> "SearchConfig":
         if self.instances < 1:
@@ -157,8 +159,8 @@ class SearchConfig:
             raise ValidationError("denominator bound must be >= 1", "SIZE")
         if self.utility.upper() not in ("UE", "UM"):
             raise ValidationError(f"utility must be UE or UM, got {self.utility}", "PARSE")
-        if not 0 <= self.structured_share <= 1:
-            raise ValidationError("structured share must be in [0, 1]", "RANGE")
+        if self.max_recruits is not None and self.max_recruits < 0:
+            raise ValidationError(f"recruit cap must be >= 0, got {self.max_recruits}", "SIZE")
         return self
 
 
@@ -202,7 +204,7 @@ def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     hi = max(config.m_range[1], lo)
     team1_size = rng.randint(lo, hi)
     team2_size = rng.randint(lo, hi)
-    structured = rng.random() < float(config.structured_share)
+    structured = rng.random() < _STRUCTURED_SHARE
     if structured:
         rows = _permutation_pattern_rows(rng, team1_size, team2_size)
     else:

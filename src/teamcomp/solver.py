@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
@@ -395,95 +395,87 @@ def enumerate_pure_strategies(
     own earlier picks (the opponent's moves and the match outcomes branch
     freely).  Two assignments that differ only off their own play path would
     play identically, so they are not enumerated twice.  Raises
-    BudgetExceeded once more than ``budget`` strategies would be produced.
+    BudgetExceeded on the first ``next()`` when more than ``budget``
+    strategies exist, before any strategy is yielded.
     """
     validate_spec(spec)
     _require_team(team)
     rounds = spec.rounds
     own_size = spec.team1_size if team == 1 else spec.team2_size
-    produced = 0
 
-    def expand(
+    def options(frontier: tuple[HistoryClassKey, ...]) -> list[list[int]]:
+        masks = [key.played1 if team == 1 else key.played2 for key in frontier]
+        return [unplayed(mask, own_size) for mask in masks]
+
+    def prefixes(
         frontier: tuple[HistoryClassKey, ...],
         level: int,
         assignment: dict[HistoryClassKey, int],
-    ) -> Iterator[PureAdaptiveStrategy]:
-        nonlocal produced
-        option_lists = []
-        for key in frontier:
-            own_mask = key.played1 if team == 1 else key.played2
-            option_lists.append(unplayed(own_mask, own_size))
-        for combo in itertools.product(*option_lists):
+    ) -> Iterator[tuple[HistoryClassKey, ...]]:
+        """Last-level frontier of each prefix; ``assignment`` holds its picks."""
+        if level + 1 == rounds:
+            yield frontier
+            return
+        for combo in itertools.product(*options(frontier)):
+            frontier_next: set[HistoryClassKey] = set()
             for key, choice in zip(frontier, combo):
                 assignment[key] = choice
-            if level + 1 == rounds:
-                produced += 1
-                if produced > budget:
-                    raise BudgetExceeded(
-                        f"pure strategy enumeration exceeds the budget of {budget}"
-                    )
-                yield PureAdaptiveStrategy(team, dict(assignment))
-            else:
-                frontier_next: set[HistoryClassKey] = set()
-                for key, choice in zip(frontier, combo):
-                    frontier_next |= _reach(spec, key, team, (choice,))
-                yield from expand(tuple(sorted(frontier_next)), level + 1, assignment)
-            for key in frontier:
-                del assignment[key]
+                frontier_next |= _reach(spec, key, team, (choice,))
+            yield from prefixes(tuple(sorted(frontier_next)), level + 1, assignment)
+        for key in frontier:
+            del assignment[key]
 
-    yield from expand((ROOT_CLASS,), 0, {})
+    # Every prefix has at least one completion, so the count walk stops
+    # after at most budget + 1 prefixes.
+    total = 0
+    for frontier in prefixes((ROOT_CLASS,), 0, {}):
+        total += prod(len(players) for players in options(frontier))
+        if total > budget:
+            raise BudgetExceeded(f"pure strategy enumeration exceeds the budget of {budget}")
+
+    assignment: dict[HistoryClassKey, int] = {}
+    for frontier in prefixes((ROOT_CLASS,), 0, assignment):
+        for combo in itertools.product(*options(frontier)):
+            moves = dict(assignment)
+            moves.update(zip(frontier, combo))
+            yield PureAdaptiveStrategy(team, moves)
 
 
-def max_meeting_probability(
-    spec: GameSpec, row_player: int, col_player: int, *, maximizer: int = 1
-) -> Fraction:
+def max_meeting_probability(spec: GameSpec, row_player: int, col_player: int) -> Fraction:
     """Largest achievable probability that two given players meet.
 
-    The maximizing team picks to make the meeting happen; the other team
-    selects uniformly among its unused players.  Computed by backward
-    induction over played-set pairs, so the bound covers every strategy of
-    the maximizing team at once, adaptive or mixed alike: win counts
-    carry no information about the meeting event, so conditioning on them
-    cannot help.
+    Team 1 picks to make the meeting happen; Team 2 selects uniformly among
+    its unused players.  Computed by backward induction over played-set
+    pairs, so the bound covers every Team-1 strategy at once, adaptive or
+    mixed alike: win counts carry no information about the meeting event, so
+    conditioning on them cannot help.
     """
     validate_spec(spec)
-    _require_team(maximizer)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if not (0 <= row_player < m and 0 <= col_player < n):
         raise ValidationError("player index out of range", "INDEX")
 
+    # Only pairs of played sets after which the two can still meet are
+    # stored; every other one, terminal sets included, is worth zero.
     values: dict[tuple[int, int], Fraction] = {}
-    for xmask in _masks(m, rounds):
-        for ymask in _masks(n, rounds):
-            values[(xmask, ymask)] = _ZERO
     for k in range(rounds - 1, -1, -1):
-        level: dict[tuple[int, int], Fraction] = {}
+        share = Fraction(1, n - k)
         for xmask in _masks(m, k):
-            row_gone = (xmask >> row_player) & 1
+            if (xmask >> row_player) & 1:
+                continue
             for ymask in _masks(n, k):
-                if row_gone or (ymask >> col_player) & 1:
-                    level[(xmask, ymask)] = _ZERO
+                if (ymask >> col_player) & 1:
                     continue
-                if maximizer == 1:
-                    own_players = unplayed(xmask, m)
-                    chance_players = unplayed(ymask, n)
-                    share = Fraction(1, n - k)
-                else:
-                    own_players = unplayed(ymask, n)
-                    chance_players = unplayed(xmask, m)
-                    share = Fraction(1, m - k)
                 best = _ZERO
-                for own in own_players:
+                for i in unplayed(xmask, m):
                     total = _ZERO
-                    for chance in chance_players:
-                        i, j = (own, chance) if maximizer == 1 else (chance, own)
+                    for j in unplayed(ymask, n):
                         if i == row_player and j == col_player:
                             total += _ONE
                         else:
-                            total += values[(xmask | (1 << i), ymask | (1 << j))]
+                            total += values.get((xmask | (1 << i), ymask | (1 << j)), _ZERO)
                     value = share * total
                     if value > best:
                         best = value
-                level[(xmask, ymask)] = best
-        values.update(level)
+                values[(xmask, ymask)] = best
     return values[(0, 0)]

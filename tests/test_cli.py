@@ -189,6 +189,19 @@ class TestVerifyCommand:
         assert contrast[0]["report"]["values"]["without_tail"] == "-2/3"
 
 
+    def test_zero_instances_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "lemma2", "--instances", "0")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
+    def test_zero_rounds_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "theorem1", "--T", "0", "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
+
 class TestExitCodes:
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         from teamcomp import cli
@@ -238,3 +251,15 @@ class TestSweepCommand:
             assert code == 0
             outputs.append((out, path.read_text()))
         assert outputs[0] == outputs[1]
+
+    def test_sweep_zero_rounds_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--instances", "1", "--T", "0")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
+    def test_sweep_negative_recruits_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--instances", "1", "--max-recruits", "-1")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err

@@ -73,6 +73,12 @@ class TestGenerateInstance:
         with pytest.raises(ValidationError):
             SearchConfig(seed=1, instances=1, utility="XX").validate()
 
+    def test_negative_recruit_cap(self):
+        with pytest.raises(ValidationError) as info:
+            SearchConfig(seed=1, instances=1, max_recruits=-1).validate()
+        assert info.value.code == "SIZE"
+        assert SearchConfig(seed=1, instances=1, max_recruits=0).validate().max_recruits == 0
+
 
 class TestMaxGain:
     def test_identity_family_gain(self, ex3_um):

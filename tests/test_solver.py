@@ -325,6 +325,17 @@ class TestEnumeratePureStrategies:
         with pytest.raises(BudgetExceeded):
             list(enumerate_pure_strategies(spec, 1, budget=10))
 
+    def test_budget_settled_before_first_strategy(self):
+        spec = make_spec(2, [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]], "UE")
+        with pytest.raises(BudgetExceeded):
+            next(enumerate_pure_strategies(spec, 1, budget=10))
+
+    def test_budget_equal_to_count(self):
+        spec = make_spec(2, [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]], "UE")
+        strategies = list(enumerate_pure_strategies(spec, 1, budget=48))
+        assert strategies == list(enumerate_pure_strategies(spec, 1))
+        assert len(strategies) == 48
+
 
 class TestMaxMeetingProbability:
     def test_bounded_by_inverse_rounds_without_spares(self):
