@@ -39,7 +39,6 @@ from .model import (
     validate_spec,
 )
 from .solver import (
-    DEFAULT_CLASS_BUDGET,
     DEFAULT_ENUM_BUDGET,
     SolveResult,
     enumerate_pure_strategies,
@@ -65,12 +64,6 @@ def weaker_team1(strength: StrengthMatrix, i: int, j: int) -> bool:
     return all(a <= b for a, b in zip(strength.row(i), strength.row(j)))
 
 
-def weaker_team2(strength: StrengthMatrix, i: int, j: int) -> bool:
-    """Team-2 comparison: i is weaker than j iff every Team-1 player beats i
-    at least as often as j."""
-    return all(a >= b for a, b in zip(strength.col(i), strength.col(j)))
-
-
 @dataclass(frozen=True)
 class PlayerClassification:
     """Per-player flags plus per-team transitivity witnesses.
@@ -89,46 +82,37 @@ class PlayerClassification:
     order2: tuple[int, ...] | None
 
 
-def _chain_order(size: int, sums: list[Fraction], weaker) -> tuple[bool, tuple[int, ...] | None]:
-    # Sort by row/column mass: a componentwise chain forces mass order, so a
-    # chain exists iff the mass-sorted order verifies (ties are identical-row
+def _row_players(
+    strength: StrengthMatrix,
+) -> tuple[tuple[bool, ...], tuple[bool, ...], bool, tuple[int, ...] | None]:
+    """Weakest flags, dominated flags, transitivity and weakest-first order
+    of the row players."""
+    m = strength.rows
+    weakest = tuple(
+        all(weaker_team1(strength, i, j) for j in range(m) if j != i) for i in range(m)
+    )
+    dominated = tuple(all(p == 0 for p in strength.row(i)) for i in range(m))
+    # Sort by row mass: a componentwise chain forces mass order, so a chain
+    # exists iff the mass-sorted order verifies (ties are identical-row
     # blocks and commute).
-    order = sorted(range(size), key=lambda i: (sums[i], i))
-    for a, b in itertools.pairwise(order):
-        if not weaker(a, b):
-            return False, None
-    return True, tuple(order)
+    order = sorted(range(m), key=lambda i: (sum(strength.row(i), _ZERO), i))
+    if all(weaker_team1(strength, a, b) for a, b in itertools.pairwise(order)):
+        return weakest, dominated, True, tuple(order)
+    return weakest, dominated, False, None
 
 
 def classify(spec: GameSpec) -> PlayerClassification:
-    """Exact weakest/dominated flags and transitivity per team."""
+    """Exact weakest/dominated flags and transitivity per team.
+
+    Team 2's player j beats Team 1's player i with probability 1 - P[i][j],
+    so Team 2's flags are the row-player flags of the mirror 1 - P^T.
+    """
     validate_spec(spec)
     strength = spec.strength
-    m, n = strength.rows, strength.cols
-
-    weakest1 = tuple(
-        all(weaker_team1(strength, i, j) for j in range(m) if j != i) for i in range(m)
+    mirror = StrengthMatrix(
+        tuple(tuple(1 - p for p in strength.col(j)) for j in range(strength.cols))
     )
-    dominated1 = tuple(all(p == 0 for p in strength.row(i)) for i in range(m))
-    row_sums = [sum(strength.row(i), _ZERO) for i in range(m)]
-    transitive1, order1 = _chain_order(
-        m, row_sums, lambda a, b: weaker_team1(strength, a, b)
-    )
-
-    weakest2 = tuple(
-        all(weaker_team2(strength, i, j) for j in range(n) if j != i) for i in range(n)
-    )
-    dominated2 = tuple(all(p == 1 for p in strength.col(j)) for j in range(n))
-    # Weak Team-2 players lose often, i.e. have large Team-1 column mass.
-    col_sums = [-sum(strength.col(j), _ZERO) for j in range(n)]
-    transitive2, order2 = _chain_order(
-        n, col_sums, lambda a, b: weaker_team2(strength, a, b)
-    )
-
-    return PlayerClassification(
-        weakest1, dominated1, transitive1, order1,
-        weakest2, dominated2, transitive2, order2,
-    )
+    return PlayerClassification(*_row_players(strength), *_row_players(mirror))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +228,10 @@ def gamma_game(params: GammaParams) -> GameSpec:
         raise ValidationError(
             f"parameters c={params.c}, a={params.a}, b={params.b} leave no rounds to play",
             "PARAMS",
+        )
+    if size > MAX_PLAYERS:
+        raise ValidationError(
+            f"team sizes {size}x{size} exceed the {MAX_PLAYERS}-player limit", "SIZE"
         )
     strong = params.c - params.a
     entries = tuple(
@@ -438,7 +426,7 @@ def check_corollary1(spec: GameSpec) -> CheckReport:
     )
 
 
-def check_lemma2(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
+def check_lemma2(spec: GameSpec) -> CheckReport:
     """With no spare players and Team 1 uniform, every complete matching is
     equally likely no matter what Team 2 does.
 
@@ -454,7 +442,7 @@ def check_lemma2(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
     uniform1 = uniform_strategy(spec, 1)
     witnesses = []
     count = 0
-    for count, pure in enumerate(enumerate_pure_strategies(spec, 2, budget=enum_budget), start=1):
+    for count, pure in enumerate(enumerate_pure_strategies(spec, 2), start=1):
         dist = matching_distribution(spec, uniform1, pure)
         if len(dist) != factorial(rounds) or any(p != expected for p in dist.values()):
             witnesses.append(f"strategy #{count} skews the matching distribution")
@@ -528,7 +516,7 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
     )
 
 
-def check_theorem3(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CheckReport:
+def check_theorem3(spec: GameSpec) -> CheckReport:
     """A team whose spare players are all weaker than its starters can drop
     them without losing value, provided the opponent has no spares and the
     utility is the expected-wins one.
@@ -560,7 +548,7 @@ def check_theorem3(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) ->
             f"value changes when the tail is abandoned: {with_tail} vs {without_tail}"
             + ("" if is_ue else " (utility is not the expected-wins table)")
         )
-    lemma5 = check_lemma5(spec, enum_budget=enum_budget)
+    lemma5 = check_lemma5(spec)
     if not lemma5.passed:
         witnesses.extend(lemma5.witnesses)
     return CheckReport(
@@ -628,7 +616,7 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     )
 
 
-def check_lemma6(c_max: int, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> CheckReport:
+def check_lemma6(c_max: int) -> CheckReport:
     """Every threshold contest in the family has value above -1.
 
     Also verifies, whenever both parameters can still grow, that the root
@@ -650,7 +638,7 @@ def check_lemma6(c_max: int, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> Che
                     # contest is worth exactly +1 without any play.
                     values[(c, a, b)] = _ONE
                     continue
-                result = solve(gamma_game(params), class_budget=class_budget)
+                result = solve(gamma_game(params))
                 values[(c, a, b)] = result.root_value
                 roots[(c, a, b)] = result
 

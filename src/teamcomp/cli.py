@@ -163,7 +163,7 @@ def _cmd_abandon_delta(args) -> int:
     _emit(
         {
             "team": args.team,
-            "abandoned": [player_label(args.team, p) for p in sorted(players)],
+            "abandoned": [player_label(args.team, p) for p in sorted(set(players))],
             "delta": format_rational(delta),
             "value": format_rational(before),
             "value_after": format_rational(after),

@@ -35,7 +35,7 @@ from .model import (
     utility_um,
     validate_spec,
 )
-from .solver import DEFAULT_CLASS_BUDGET, solve
+from .solver import solve
 
 _ZERO = Fraction(0)
 
@@ -226,16 +226,15 @@ def max_gain(
     *,
     index: int = 0,
     utility_name: str = "",
-    class_budget: int = DEFAULT_CLASS_BUDGET,
 ) -> GainRecord:
     """Solve the contest with 0..max_recruits extra always-losing players and
     report the best value with the smallest recruit count achieving it."""
     validate_spec(spec)
-    base = solve(spec, class_budget=class_budget).root_value
+    base = solve(spec).root_value
     best = base
     best_count = 0
     for count in range(1, max_recruits + 1):
-        value = solve(add_dominated(spec, count), class_budget=class_budget).root_value
+        value = solve(add_dominated(spec, count)).root_value
         if value > best:
             best = value
             best_count = count

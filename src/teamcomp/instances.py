@@ -8,7 +8,7 @@ scalable identity-ladder families used for the recruiting analysis.
 
 from __future__ import annotations
 
-from .model import GameSpec, ValidationError, make_spec
+from .model import MAX_PLAYERS, GameSpec, ValidationError, make_spec
 
 
 def card_game() -> GameSpec:
@@ -44,6 +44,10 @@ def _ex3(utility: str) -> GameSpec:
 
 def _identity_ladder(rounds: int, extra_cols: int, utility: str) -> GameSpec:
     cols = rounds + extra_cols
+    if cols > MAX_PLAYERS:
+        raise ValidationError(
+            f"team sizes {rounds}x{cols} exceed the {MAX_PLAYERS}-player limit", "SIZE"
+        )
     rows = [[1 if i == j else 0 for j in range(cols)] for i in range(rounds)]
     return make_spec(rounds, rows, utility)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import RationalLike, ValidationError, parse_rational
+from .model import RationalLike, ValidationError, _parse_rows, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -36,17 +36,7 @@ class MatrixGame:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "MatrixGame":
-        if not rows or not rows[0]:
-            raise ValidationError("matrix game needs at least one row and column", "SIZE")
-        width = len(rows[0])
-        parsed = []
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValidationError(
-                    f"payoff row {i + 1} has length {len(row)}, expected {width}", "SHAPE"
-                )
-            parsed.append(tuple(parse_rational(c) for c in row))
-        return MatrixGame(tuple(parsed))
+        return MatrixGame(_parse_rows(rows, "payoff"))
 
     @property
     def rows(self) -> int:

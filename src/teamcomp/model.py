@@ -97,6 +97,34 @@ def player_label(team: int, index: int) -> str:
     return f"{'A' if team == 1 else 'B'}{index + 1}"
 
 
+def _parse_rows(
+    rows: Sequence[Sequence[RationalLike]], name: str
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rationals of a non-empty rectangular grid given row by row;
+    ``name`` labels the grid in error messages."""
+    if not rows:
+        raise ValidationError(f"{name} needs at least one row and one column", "SIZE")
+    parsed: list[tuple[Fraction, ...]] = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+            raise ValidationError(f"{name} row {i + 1} is not an array", "SHAPE")
+        if parsed and len(row) != len(parsed[0]):
+            raise ValidationError(
+                f"{name} row {i + 1} has length {len(row)}, expected {len(parsed[0])}",
+                "SHAPE",
+            )
+        if not row:
+            raise ValidationError(f"{name} needs at least one row and one column", "SIZE")
+        out = []
+        for j, cell in enumerate(row):
+            try:
+                out.append(parse_rational(cell))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}[{i + 1}][{j + 1}]: {exc}", "PARSE") from exc
+        parsed.append(tuple(out))
+    return tuple(parsed)
+
+
 @dataclass(frozen=True)
 class StrengthMatrix:
     """Win probabilities from Team 1's side.
@@ -111,25 +139,7 @@ class StrengthMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "StrengthMatrix":
-        if not rows or not rows[0]:
-            raise ValidationError(
-                "strength matrix needs at least one row and one column", "SIZE"
-            )
-        width = len(rows[0])
-        parsed: list[tuple[Fraction, ...]] = []
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValidationError(
-                    f"P row {i + 1} has length {len(row)}, expected {width}", "SHAPE"
-                )
-            out = []
-            for j, cell in enumerate(row):
-                try:
-                    out.append(parse_rational(cell))
-                except ValidationError as exc:
-                    raise ValidationError(f"P[{i + 1}][{j + 1}]: {exc}", "PARSE") from exc
-            parsed.append(tuple(out))
-        return StrengthMatrix(tuple(parsed))
+        return StrengthMatrix(_parse_rows(rows, "P"))
 
     @property
     def rows(self) -> int:
@@ -273,9 +283,7 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     for i, row in enumerate(spec.strength.entries):
         for j, p in enumerate(row):
             if p < 0 or p > 1:
-                raise ValidationError(
-                    f"P[{i + 1}][{j + 1}] = {p} outside [0, 1]", "RANGE"
-                )
+                raise ValidationError(f"P[{i + 1}][{j + 1}] is outside [0, 1]", "RANGE")
     if spec.utility.rounds != spec.rounds:
         raise ValidationError(
             f"utility table has {spec.utility.rounds + 1} entries, expected "
@@ -392,4 +400,8 @@ def dumps_spec(spec: GameSpec) -> str:
 
 def load_spec(path: str) -> GameSpec:
     with open(path, encoding="utf-8") as handle:
-        return loads_spec(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"spec file is not UTF-8: {exc}", "PARSE") from exc
+    return loads_spec(text)

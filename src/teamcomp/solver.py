@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -66,8 +66,8 @@ def _masks(size: int, k: int) -> Iterator[int]:
 
 # The match rule, written once.  Team-1 player i meets Team-2 player j and
 # wins with probability p: the contest moves to wins+1 when p > 0 and stays at
-# wins when p < 1.  Forward passes walk the successor classes; backward passes
-# blend the successor values without building them.
+# wins when p < 1.  Forward passes and ``evaluate_fixed`` walk the successor
+# classes; ``stage_matrix`` blends the successor values without building them.
 
 def _successors(
     key: HistoryClassKey, i: int, j: int, p: Fraction
@@ -94,18 +94,14 @@ def _blend(
     return p * values[(xm, ym, wins + 1)] + (1 - p) * values[(xm, ym, wins)]
 
 
-def _reach(
-    spec: GameSpec, key: HistoryClassKey, team: int, picks: Iterable[int]
-) -> set[HistoryClassKey]:
-    """Classes one round after ``key`` when ``team`` commits one of ``picks``
-    and the other team commits any of its unused players."""
+def _reach(spec: GameSpec, key: HistoryClassKey, team: int, pick: int) -> set[HistoryClassKey]:
+    """Classes one round after ``key`` when ``team`` commits ``pick`` and the
+    other team commits any of its unused players."""
     strength = spec.strength.entries
     if team == 1:
-        others = unplayed(key.played2, spec.team2_size)
-        pairs = [(i, j) for i in picks for j in others]
+        pairs = [(pick, j) for j in unplayed(key.played2, spec.team2_size)]
     else:
-        others = unplayed(key.played1, spec.team1_size)
-        pairs = [(i, j) for j in picks for i in others]
+        pairs = [(i, pick) for i in unplayed(key.played1, spec.team1_size)]
     return {succ for i, j in pairs for succ, _ in _successors(key, i, j, strength[i][j])}
 
 
@@ -261,49 +257,40 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
     """Team-1 value when ``fixed``'s team is frozen and the other team plays a
     best response.
 
-    Backward induction over exactly the classes reachable when the opponent
-    plays arbitrarily; raises CoverageError if the fixed strategy is silent or
-    invalid at any such class.
+    Memoized backward induction over exactly the classes reachable when the
+    opponent plays arbitrarily; raises CoverageError if the fixed strategy is
+    silent or invalid at any such class.
     """
     validate_spec(spec)
     _require_team(fixed.team)
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     strength = spec.strength.entries
-    fixed_is_team1 = fixed.team == 1
-
-    levels: list[set[HistoryClassKey]] = [{ROOT_CLASS}]
-    dists: dict[HistoryClassKey, dict[int, Fraction]] = {}
-    for k in range(rounds):
-        frontier: set[HistoryClassKey] = set()
-        for key in levels[k]:
-            own_mask, own_size = (key.played1, m) if fixed_is_team1 else (key.played2, n)
-            dist = dists[key] = _distribution_at(fixed, key, own_mask, own_size)
-            frontier |= _reach(spec, key, fixed.team, dist)
-        levels.append(frontier)
-
     utility = spec.utility.values
-    best: dict[HistoryClassKey, Fraction] = {
-        key: utility[key.wins] for key in levels[rounds]
-    }
-    for k in range(rounds - 1, -1, -1):
-        for key in levels[k]:
-            xm, ym, wins = key
-            dist = dists[key]
-            free_mask, free_size = (ym, n) if fixed_is_team1 else (xm, m)
+    rounds = spec.rounds
+    # Roles, picked once.  ``step`` turns (Team 1, Team 2) order into (frozen,
+    # free) order and back: each team's played mask sits in the class key at
+    # its team slot.  The free team pushes Team-1 utility its own way.
+    step = 1 if fixed.team == 1 else -1
+    (own, own_size), (free, free_size) = ((0, spec.team1_size), (1, spec.team2_size))[::step]
+    respond = min if step == 1 else max
+    best: dict[HistoryClassKey, Fraction] = {}
+
+    def value(key: HistoryClassKey) -> Fraction:
+        if key.round_index == rounds:
+            return utility[key.wins]
+        if key not in best:
+            dist = _distribution_at(fixed, key, key[own], own_size)
             candidates = []
-            for free_player in unplayed(free_mask, free_size):
+            for free_player in unplayed(key[free], free_size):
                 expected = _ZERO
                 for fixed_player, weight in dist.items():
-                    if fixed_is_team1:
-                        i, j = fixed_player, free_player
-                    else:
-                        i, j = free_player, fixed_player
-                    p = strength[i][j]
-                    expected += weight * _blend(best, xm | (1 << i), ym | (1 << j), wins, p)
+                    i, j = (fixed_player, free_player)[::step]
+                    for succ, q in _successors(key, i, j, strength[i][j]):
+                        expected += weight * q * value(succ)
                 candidates.append(expected)
-            # The free team optimizes Team-1 utility in its own direction.
-            best[key] = min(candidates) if fixed_is_team1 else max(candidates)
-    return best[ROOT_CLASS]
+            best[key] = respond(candidates)
+        return best[key]
+
+    return value(ROOT_CLASS)
 
 
 def matching_distribution(
@@ -420,7 +407,7 @@ def enumerate_pure_strategies(
             frontier_next: set[HistoryClassKey] = set()
             for key, choice in zip(frontier, combo):
                 assignment[key] = choice
-                frontier_next |= _reach(spec, key, team, (choice,))
+                frontier_next |= _reach(spec, key, team, choice)
             yield from prefixes(tuple(sorted(frontier_next)), level + 1, assignment)
         for key in frontier:
             del assignment[key]

@@ -68,6 +68,33 @@ class TestClassify:
         cls = classify(spec)
         assert cls.dominated2 == (True, False, False)
 
+    def test_team2_chain(self):
+        # Columns weakest-first: B1 loses every match, then B3, then B2.
+        spec = make_spec(2, [[1, 0, F(1, 2)], [1, F(1, 2), F(1, 2)], [1, 0, 0]], "UE")
+        cls = classify(spec)
+        assert cls.weakest2 == (True, False, False)
+        assert cls.dominated2 == (True, False, False)
+        assert cls.transitive2
+        assert cls.order2 == (0, 2, 1)
+
+    def test_team2_tied_columns(self):
+        # B2 and B3 are identical always-losing columns; the tie keeps index
+        # order and both are weakest.
+        spec = make_spec(2, [[0, 1, 1], [F(1, 2), 1, 1]], "UE")
+        cls = classify(spec)
+        assert cls.weakest2 == (False, True, True)
+        assert cls.dominated2 == (False, True, True)
+        assert cls.transitive2
+        assert cls.order2 == (1, 2, 0)
+
+    def test_team2_incomparable_columns(self):
+        spec = make_spec(2, [[1, 0], [0, 1]], "UE")
+        cls = classify(spec)
+        assert cls.weakest2 == (False, False)
+        assert cls.dominated2 == (False, False)
+        assert not cls.transitive2
+        assert cls.order2 is None
+
     def test_mutually_weaker_rows_are_identical(self):
         rng = random.Random("weaker")
         for _ in range(20):
@@ -138,6 +165,11 @@ class TestRosterSurgery:
         base = named_instance("ex4:3")
         with pytest.raises(ValidationError):
             add_dominated(base, 100)
+
+    def test_ladder_over_player_limit(self):
+        with pytest.raises(ValidationError) as err:
+            named_instance("ex4:21")
+        assert err.value.code == "SIZE"
 
     def test_recruiting_never_lowers_value(self):
         rng = random.Random("monotone-recruits")

@@ -46,6 +46,24 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 2
         assert "P row" in err
+        path.write_text('{"T": 1, "P": [1, 2], "U": "UE"}')
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "error[SHAPE]" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "error[PARSE]" in err
+
+    def test_huge_out_of_range_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"T": 1, "P": [["1e5000"]], "U": "UE"}')
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "error[RANGE]: P[1][1]" in err
 
     def test_out_of_range_entry_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -101,6 +119,17 @@ class TestOtherCommands:
         assert doc["delta"] == "2/3"
         assert doc["abandoned"] == ["A4"]
 
+    def test_abandon_delta_repeated_player_listed_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "abandon-delta", "--example", "ex3", "--utility", "UM",
+            "--team", "1", "--players", "4,4",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["abandoned"] == ["A4"]
+        assert doc["delta"] == "2/3"
+
     def test_abandon_delta_budget_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -126,6 +155,12 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "gamma", "--C", "2", "--a", "5")
         assert code == 2
         assert "PARAMS" in err
+
+    def test_gamma_over_player_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gamma", "--C", "14")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
 
     def test_simulate_deterministic(self, capsys):
         runs = [

@@ -177,6 +177,27 @@ class TestEvaluateFixed:
         assert evaluate_fixed(spec, uniform_strategy(spec, 1)) <= result.root_value
         assert evaluate_fixed(spec, uniform_strategy(spec, 2)) >= result.root_value
 
+    def test_uniform_guarantees_value_without_spares(self):
+        # Theorem 1: with no spare players, either team's uniform play
+        # guarantees the equilibrium value against any response.
+        rng = random.Random("uniform-fixed")
+        for _ in range(12):
+            spec = random_square_spec(rng, rng.randint(1, 3), 4, rng.choice(["UE", "UM"]))
+            root = solve(spec).root_value
+            assert evaluate_fixed(spec, uniform_strategy(spec, 1)) == root
+            assert evaluate_fixed(spec, uniform_strategy(spec, 2)) == root
+
+    def test_pure_strategies_bounded_by_value(self):
+        # Pure strategies are defined only along their own play path.
+        rng = random.Random("pure-fixed")
+        for rounds, m, n in ((1, 2, 3), (2, 3, 2), (2, 3, 3), (3, 3, 3)):
+            spec = random_spec(rng, rounds, m, n, utility=rng.choice(["UE", "UM"]))
+            root = solve(spec).root_value
+            for pure in enumerate_pure_strategies(spec, 1):
+                assert evaluate_fixed(spec, pure) <= root
+            for pure in enumerate_pure_strategies(spec, 2):
+                assert evaluate_fixed(spec, pure) >= root
+
     def test_coverage_missing_class(self, ex1_spec):
         with pytest.raises(CoverageError):
             evaluate_fixed(ex1_spec, BehavioralStrategy(1, {ROOT_CLASS: {0: F(1)}}))
