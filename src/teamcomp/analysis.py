@@ -128,7 +128,7 @@ def abandon(spec: GameSpec, team: int, players: Sequence[int]) -> GameSpec:
     drop = set(players)
     for p in drop:
         if not 0 <= p < size:
-            raise ValidationError(f"no player {p} on team {team}", "INDEX")
+            raise ValidationError(f"no player {player_label(team, p)} on team {team}", "INDEX")
     if size - len(drop) < spec.rounds:
         raise ValidationError(
             f"abandoning {len(drop)} of {size} players leaves fewer than T={spec.rounds}",

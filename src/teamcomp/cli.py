@@ -64,9 +64,11 @@ def _emit(doc: dict) -> None:
 
 def _load_spec_arg(args) -> GameSpec:
     if args.example:
-        return named_instance(args.example, getattr(args, "utility", None))
+        return named_instance(args.example, args.utility)
     if not args.spec:
         raise GameModelError("provide a spec file or --example NAME", "PARSE")
+    if args.utility is not None:
+        raise ValidationError("--utility applies only to --example ex3", "PARSE")
     return validate_spec(load_spec(args.spec))
 
 

@@ -76,9 +76,12 @@ def named_instance(name: str, utility: str | None = None) -> GameSpec:
     """Resolve an ``--example`` name.
 
     ``ex4:T``/``ex5:T`` take the round count after the colon; ``ex3`` accepts
-    an optional utility override ("UE" or "UM", default "UM").
+    an optional utility override ("UE" or "UM", default "UM"), and every
+    other name rejects one.
     """
     text = name.strip().lower()
+    if utility is not None and text != "ex3":
+        raise ValidationError(f"a utility override applies only to ex3, not {name!r}", "PARSE")
     if text == "card":
         return card_game()
     if text == "ex1":

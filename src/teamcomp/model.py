@@ -389,7 +389,7 @@ def loads_spec(text: str) -> GameSpec:
     """Parse a UTF-8 JSON spec document; decimal literals stay exact."""
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ValidationError(f"invalid JSON: {exc}", "PARSE") from exc
     return spec_from_document(doc)
 

@@ -47,6 +47,8 @@ DEFAULT_CLASS_BUDGET = 50_000_000
 DEFAULT_ENUM_BUDGET = 200_000
 
 Strategy = Union[BehavioralStrategy, PureAdaptiveStrategy]
+#: A finished contest: the sorted (i, j) pairs that met and the terminal class.
+_Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
 
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
@@ -66,7 +68,7 @@ def _masks(size: int, k: int) -> Iterator[int]:
 
 # The match rule, written once.  Team-1 player i meets Team-2 player j and
 # wins with probability p: the contest moves to wins+1 when p > 0 and stays at
-# wins when p < 1.  Forward passes and ``evaluate_fixed`` walk the successor
+# wins when p < 1.  The forward pass and ``evaluate_fixed`` walk the successor
 # classes; ``stage_matrix`` blends the successor values without building them.
 
 def _successors(
@@ -293,6 +295,32 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
     return value(ROOT_CLASS)
 
 
+def _histories(
+    spec: GameSpec, strategy1: Strategy, strategy2: Strategy
+) -> dict[_Outcome, Fraction]:
+    """Exact distribution over finished contests; probabilities sum to one."""
+    if strategy1.team != 1 or strategy2.team != 2:
+        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
+    m, n = spec.team1_size, spec.team2_size
+    strength = spec.strength.entries
+
+    states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
+    for _ in range(spec.rounds):
+        nxt: dict[_Outcome, Fraction] = {}
+        for (pairs, key), prob in states.items():
+            dist1 = _distribution_at(strategy1, key, key.played1, m)
+            dist2 = _distribution_at(strategy2, key, key.played2, n)
+            for i, w1 in dist1.items():
+                for j, w2 in dist2.items():
+                    move_prob = prob * w1 * w2
+                    pairs_next = tuple(sorted(pairs + ((i, j),)))
+                    for succ, q in _successors(key, i, j, strength[i][j]):
+                        state = (pairs_next, succ)
+                        nxt[state] = nxt.get(state, _ZERO) + move_prob * q
+        states = nxt
+    return states
+
+
 def matching_distribution(
     spec: GameSpec, strategy1: Strategy, strategy2: Strategy
 ) -> dict[tuple[int, ...], Fraction]:
@@ -309,33 +337,8 @@ def matching_distribution(
         raise RedundantPlayersError(
             f"matchings need team sizes equal to T (have {m} and {n}, T={rounds})"
         )
-    if strategy1.team != 1 or strategy2.team != 2:
-        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
-    strength = spec.strength.entries
-
-    states: dict[tuple[tuple[tuple[int, int], ...], int], Fraction] = {((), 0): _ONE}
-    for _ in range(rounds):
-        nxt: dict[tuple[tuple[tuple[int, int], ...], int], Fraction] = {}
-        for (pairs, wins), prob in states.items():
-            xm = 0
-            ym = 0
-            for i, j in pairs:
-                xm |= 1 << i
-                ym |= 1 << j
-            key = HistoryClassKey(xm, ym, wins)
-            dist1 = _distribution_at(strategy1, key, xm, m)
-            dist2 = _distribution_at(strategy2, key, ym, n)
-            for i, w1 in dist1.items():
-                for j, w2 in dist2.items():
-                    move_prob = prob * w1 * w2
-                    pairs_next = tuple(sorted(pairs + ((i, j),)))
-                    for succ, q in _successors(key, i, j, strength[i][j]):
-                        state = (pairs_next, succ.wins)
-                        nxt[state] = nxt.get(state, _ZERO) + move_prob * q
-        states = nxt
-
     result: dict[tuple[int, ...], Fraction] = {}
-    for (pairs, _wins), prob in states.items():
+    for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
         matching = tuple(j for _i, j in pairs)  # pairs already sorted by i
         result[matching] = result.get(matching, _ZERO) + prob
     return {key: result[key] for key in sorted(result)}
@@ -350,26 +353,10 @@ def meeting_probabilities(
     at some point of the contest under the two strategies.
     """
     validate_spec(spec)
-    if strategy1.team != 1 or strategy2.team != 2:
-        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    strength = spec.strength.entries
-    grid = [[_ZERO] * n for _ in range(m)]
-
-    states: dict[HistoryClassKey, Fraction] = {ROOT_CLASS: _ONE}
-    for _ in range(rounds):
-        nxt: dict[HistoryClassKey, Fraction] = {}
-        for key, prob in states.items():
-            xm, ym, wins = key
-            dist1 = _distribution_at(strategy1, key, xm, m)
-            dist2 = _distribution_at(strategy2, key, ym, n)
-            for i, w1 in dist1.items():
-                for j, w2 in dist2.items():
-                    move_prob = prob * w1 * w2
-                    grid[i][j] += move_prob
-                    for succ, q in _successors(key, i, j, strength[i][j]):
-                        nxt[succ] = nxt.get(succ, _ZERO) + move_prob * q
-        states = nxt
+    grid = [[_ZERO] * spec.team2_size for _ in range(spec.team1_size)]
+    for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
+        for i, j in pairs:
+            grid[i][j] += prob
     return tuple(tuple(row) for row in grid)
 
 

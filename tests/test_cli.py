@@ -65,6 +65,28 @@ class TestSolveCommand:
         assert code == 2
         assert "error[RANGE]: P[1][1]" in err
 
+    def test_overlong_integer_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"T": 1, "P": [[1]], "U": [0, ' + "1" * 5000 + "]}")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
+    def test_utility_with_spec_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document_from_spec(named_instance("ex1"))))
+        code, out, err = run_cli(capsys, "solve", str(path), "--utility", "UM")
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
+    def test_utility_with_other_example_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--example", "card", "--utility", "UE")
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
     def test_out_of_range_entry_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"T": 2, "P": [["1", "0"], ["0", "2"]], "U": "UE"}')
@@ -129,6 +151,17 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["abandoned"] == ["A4"]
         assert doc["delta"] == "2/3"
+
+    def test_abandon_delta_names_missing_player(self, capsys):
+        for team, label in (("1", "A9"), ("2", "B9")):
+            code, out, err = run_cli(
+                capsys,
+                "abandon-delta", "--example", "ex3", "--utility", "UM",
+                "--team", team, "--players", "9",
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error[INDEX]: no player {label} on team {team}\n"
 
     def test_abandon_delta_budget_exits_3(self, capsys):
         code, out, err = run_cli(

@@ -14,6 +14,7 @@ from teamcomp.model import (
     RedundantPlayersError,
     ROOT_CLASS,
     TerminalClassError,
+    ValidationError,
     make_spec,
 )
 from teamcomp.solver import (
@@ -37,6 +38,15 @@ F = Fraction
 
 def random_spec(rng, rounds, m, n, bound=4, utility="UE"):
     return make_spec(rounds, random_strength_rows(rng, m, n, bound), utility)
+
+
+def strategy_pairs(spec):
+    """Uniform play and one equilibrium, each as (Team 1, Team 2)."""
+    result = solve(spec)
+    return [
+        (uniform_strategy(spec, 1), uniform_strategy(spec, 2)),
+        (result.strategy1, result.strategy2),
+    ]
 
 
 class TestStageMatrix:
@@ -274,6 +284,20 @@ class TestMatchingDistribution:
                 ex1_spec, uniform_strategy(ex1_spec, 1), uniform_strategy(ex1_spec, 2)
             )
 
+    def test_redundant_error_before_order_check(self, ex1_spec):
+        with pytest.raises(RedundantPlayersError):
+            matching_distribution(
+                ex1_spec, uniform_strategy(ex1_spec, 2), uniform_strategy(ex1_spec, 1)
+            )
+
+    def test_swapped_strategy_order_rejected(self):
+        spec = make_spec(2, [["1/3", "2/3"], ["1/5", "1/2"]], "UE")
+        team1, team2 = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+        for passes in (matching_distribution, meeting_probabilities):
+            with pytest.raises(ValidationError) as err:
+                passes(spec, team2, team1)
+            assert err.value.code == "PARSE"
+
 
 class TestMeetingProbabilities:
     def test_square_uniform_grid(self):
@@ -307,6 +331,31 @@ class TestMeetingProbabilities:
             assert sum(grid[i][j] for i in range(4)) == 1
         for i in range(4):
             assert sum(grid[i]) <= 1
+
+    def test_grid_is_matching_marginal(self):
+        rng = random.Random("meet-vs-match")
+        for _ in range(8):
+            rounds = rng.randint(1, 3)
+            spec = random_spec(rng, rounds, rounds, rounds, utility=rng.choice(["UE", "UM"]))
+            for strategy1, strategy2 in strategy_pairs(spec):
+                grid = meeting_probabilities(spec, strategy1, strategy2)
+                dist = matching_distribution(spec, strategy1, strategy2)
+                for i in range(rounds):
+                    for j in range(rounds):
+                        met = sum((q for match, q in dist.items() if match[i] == j), F(0))
+                        assert grid[i][j] == met
+
+    def test_spares_on_both_sides(self):
+        rng = random.Random("meet-spares")
+        for _ in range(6):
+            rounds = rng.randint(1, 3)
+            m, n = rounds + rng.randint(1, 2), rounds + rng.randint(1, 2)
+            spec = random_spec(rng, rounds, m, n)
+            for strategy1, strategy2 in strategy_pairs(spec):
+                grid = meeting_probabilities(spec, strategy1, strategy2)
+                assert sum(sum(row) for row in grid) == rounds
+                assert all(sum(row) <= 1 for row in grid)
+                assert all(sum(grid[i][j] for i in range(m)) <= 1 for j in range(n))
 
 
 class TestEnumeratePureStrategies:
