@@ -21,6 +21,7 @@ from .matrix import (
     col_dominates,
     row_dominates,
 )
+from .instances import named_instance
 from .model import (
     BehavioralStrategy,
     BudgetExceeded,
@@ -29,6 +30,7 @@ from .model import (
     MAX_PLAYERS,
     PreconditionError,
     RedundantPlayersError,
+    ROOT_CLASS,
     StrengthMatrix,
     UtilityTable,
     ValidationError,
@@ -171,6 +173,11 @@ def add_dominated(spec: GameSpec, count: int) -> GameSpec:
     zero_row = tuple([_ZERO] * spec.team2_size)
     rows = spec.strength.entries + tuple([zero_row] * count)
     return GameSpec(spec.rounds, StrengthMatrix(rows), spec.utility)
+
+
+def default_recruit_cap(rounds: int, utility: str) -> int:
+    """The sharp recruit count: T-1 under UE, floor(T/2) under UM."""
+    return rounds - 1 if utility.upper() == "UE" else rounds // 2
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +585,17 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     Majority variant: with floor(T/2)-1 recruits the team is pinned at -1,
     one more strictly improves, and another adds nothing.
     """
-    from .instances import named_instance  # local import; instances builds on analysis-free modules
-
     variant = variant.strip().upper()
     if variant not in ("UE", "UM"):
         raise ValidationError(f"variant must be UE or UM, got {variant!r}", "PARSE")
     if rounds < 2:
         raise PreconditionError("needs at least two rounds")
     if variant == "UE":
-        base = named_instance(f"ex4:{rounds}")
-        counts = [rounds - 2, rounds - 1, rounds]
-        pinned = -Fraction(rounds, 2)
+        base, pinned = named_instance(f"ex4:{rounds}"), -Fraction(rounds, 2)
     else:
-        base = named_instance(f"ex5:{rounds}")
-        counts = [rounds // 2 - 1, rounds // 2, rounds // 2 + 1]
-        pinned = -_ONE
+        base, pinned = named_instance(f"ex5:{rounds}"), -_ONE
+    sharp = default_recruit_cap(rounds, variant)
+    counts = [sharp - 1, sharp, sharp + 1]
     results = [solve(add_dominated(base, r)).root_value for r in counts]
     witnesses = []
     if results[0] != pinned:
@@ -652,7 +655,7 @@ def check_lemma6(c_max: int) -> CheckReport:
             witnesses.append(f"{tag}: loosening the threshold lowered the value")
         if a < ceil(c / 2) and b < floor(c / 2):
             result = roots[(c, a, b)]
-            game = stage_matrix(result.spec, result.value_table, HistoryClassKey(0, 0, 0))
+            game = stage_matrix(result.spec, result.value_table, ROOT_CLASS)
             strong = c - a
             for i in range(result.spec.team1_size):
                 expected = values[(c, a + 1, b)] if i < strong else values[(c, a, b + 1)]

@@ -36,6 +36,7 @@ from .model import (
     GameModelError,
     GameSpec,
     HistoryClassKey,
+    ROOT_CLASS,
     ValidationError,
     document_from_spec,
     format_rational,
@@ -63,6 +64,8 @@ def _emit(doc: dict) -> None:
 
 
 def _load_spec_arg(args) -> GameSpec:
+    if args.spec and args.example:
+        raise ValidationError("give a spec file or --example NAME, not both", "PARSE")
     if args.example:
         return named_instance(args.example, args.utility)
     if not args.spec:
@@ -83,7 +86,7 @@ def _class_document(key: HistoryClassKey, value: Fraction, m: int, n: int) -> di
 
 def _root_strategy_document(result: SolveResult, team: int) -> dict:
     strategy = result.strategy1 if team == 1 else result.strategy2
-    dist = strategy.moves[HistoryClassKey(0, 0, 0)]
+    dist = strategy.moves[ROOT_CLASS]
     return {player_label(team, p): format_rational(w) for p, w in sorted(dist.items())}
 
 
@@ -114,34 +117,30 @@ def _cmd_best_response(args) -> int:
         fixed = uniform_strategy(spec, args.team)
     else:
         fixed = result.strategy1 if args.team == 1 else result.strategy2
-    value = evaluate_fixed(spec, fixed)
-    _emit(
-        {
-            "team": args.team,
-            "strategy": args.strategy,
-            "value": format_rational(value),
-            "equilibrium_value": format_rational(result.root_value),
-        }
-    )
+    doc = {
+        "team": args.team,
+        "strategy": args.strategy,
+        "value": format_rational(evaluate_fixed(spec, fixed)),
+        "equilibrium_value": format_rational(result.root_value),
+    }
+    _emit(doc)
     return EXIT_OK
 
 
+def _team_document(team: int, weakest, dominated, transitive: bool, order) -> dict:
+    return {
+        "weakest": [player_label(team, p) for p, f in enumerate(weakest) if f],
+        "dominated": [player_label(team, p) for p, f in enumerate(dominated) if f],
+        "transitive": transitive,
+        "weakest_first": [player_label(team, p) for p in order] if order else None,
+    }
+
+
 def _cmd_classify(args) -> int:
-    spec = _load_spec_arg(args)
-    cls = classify(spec)
+    cls = classify(_load_spec_arg(args))
     doc = {
-        "team1": {
-            "weakest": [player_label(1, i) for i, f in enumerate(cls.weakest1) if f],
-            "dominated": [player_label(1, i) for i, f in enumerate(cls.dominated1) if f],
-            "transitive": cls.transitive1,
-            "weakest_first": [player_label(1, i) for i in cls.order1] if cls.order1 else None,
-        },
-        "team2": {
-            "weakest": [player_label(2, j) for j, f in enumerate(cls.weakest2) if f],
-            "dominated": [player_label(2, j) for j, f in enumerate(cls.dominated2) if f],
-            "transitive": cls.transitive2,
-            "weakest_first": [player_label(2, j) for j in cls.order2] if cls.order2 else None,
-        },
+        "team1": _team_document(1, cls.weakest1, cls.dominated1, cls.transitive1, cls.order1),
+        "team2": _team_document(2, cls.weakest2, cls.dominated2, cls.transitive2, cls.order2),
     }
     _emit(doc)
     return EXIT_OK
@@ -175,8 +174,7 @@ def _cmd_abandon_delta(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    spec = gamma_game(GammaParams(args.C, args.a, args.b))
-    _emit(document_from_spec(spec))
+    _emit(document_from_spec(gamma_game(GammaParams(args.C, args.a, args.b))))
     return EXIT_OK
 
 
@@ -204,15 +202,26 @@ def _cmd_simulate(args) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _suite_rng(seed: int, suite: str, index: int) -> random.Random:
-    return random.Random(f"{seed}:{suite}:{index}")
-
-
 def _rounds_pool(args, default: list[int]) -> list[int]:
     """Round counts a suite draws from: ``--T`` alone when given."""
     if args.T is not None and args.T < 1:
         raise ValidationError(f"--T must be >= 1, got {args.T}", "SIZE")
     return default if args.T is None else [args.T]
+
+
+def _generated(args, suite: str, default_rounds: list[int], build):
+    """Yield ``(index, spec)`` for ``--instances`` contests, each drawn from its own
+    ``Random(f"{seed}:{suite}:{index}")``: the round count, then ``build``'s draws."""
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be >= 1, got {args.instances}", "SIZE")
+    pool = _rounds_pool(args, default_rounds)
+    for index in range(args.instances):
+        rng = random.Random(f"{args.seed}:{suite}:{index}")
+        yield index, build(rng, rng.choice(pool))
+
+
+def _weak_tail(rng: random.Random, rounds: int) -> GameSpec:
+    return explorer.random_weak_tail_spec(rng, rounds, rounds + rng.randint(1, 2), 6)
 
 
 def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
@@ -225,26 +234,23 @@ def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
 
 
 def _suite_theorem1(args) -> list[dict]:
-    rounds_pool = _rounds_pool(args, [2, 3, 4])
-    entries = []
-    for index in range(args.instances):
-        rng = _suite_rng(args.seed, "theorem1", index)
-        rounds = rng.choice(rounds_pool)
-        utility = rng.choice(["UE", "UM"])
-        spec = explorer.random_square_spec(rng, rounds, 6, utility)
-        entries.append(_entry(f"theorem1[{index}]", check_theorem1(spec)))
-    return entries
+    def build(rng: random.Random, rounds: int) -> GameSpec:
+        return explorer.random_square_spec(rng, rounds, 6, rng.choice(["UE", "UM"]))
+
+    return [
+        _entry(f"theorem1[{index}]", check_theorem1(spec))
+        for index, spec in _generated(args, "theorem1", [2, 3, 4], build)
+    ]
 
 
 def _suite_theorem2(args) -> list[dict]:
-    entries = []
-    for index in range(args.instances):
-        rng = _suite_rng(args.seed, "theorem2", index)
-        rounds = rng.choice(_rounds_pool(args, [2, 3, 4]))
+    def build(rng: random.Random, rounds: int) -> GameSpec:
         m = rng.randint(rounds, min(6, rounds + 2))
         n = rng.randint(rounds, min(6, rounds + 2))
-        utility = rng.choice(["UE", "UM"])
-        spec = explorer.random_transitive_spec(rng, rounds, m, n, 6, utility)
+        return explorer.random_transitive_spec(rng, rounds, m, n, 6, rng.choice(["UE", "UM"]))
+
+    entries = []
+    for index, spec in _generated(args, "theorem2", [2, 3, 4], build):
         entries.append(_entry(f"theorem2[{index}]team1", check_theorem2(spec, 1)))
         entries.append(_entry(f"theorem2[{index}]team2", check_theorem2(spec, 2)))
         entries.append(_entry(f"corollary1[{index}]", check_corollary1(spec)))
@@ -252,48 +258,39 @@ def _suite_theorem2(args) -> list[dict]:
 
 
 def _suite_theorem3(args) -> list[dict]:
-    entries = []
-    for index in range(args.instances):
-        rng = _suite_rng(args.seed, "theorem3", index)
-        rounds = rng.choice(_rounds_pool(args, [2, 3]))
-        m = rounds + rng.randint(1, 2)
-        spec = explorer.random_weak_tail_spec(rng, rounds, m, 6)
-        entries.append(_entry(f"theorem3[{index}]", check_theorem3(spec)))
+    entries = [
+        _entry(f"theorem3[{index}]", check_theorem3(spec))
+        for index, spec in _generated(args, "theorem3", [2, 3], _weak_tail)
+    ]
     # Majority-scoring contrast: the same structure must NOT preserve value.
     contrast = check_theorem3(named_instance("ex3", "UM"))
-    entries.append(_entry("theorem3[contrast:UM]", contrast, expected_pass=False))
-    return entries
+    return entries + [_entry("theorem3[contrast:UM]", contrast, expected_pass=False)]
 
 
 def _suite_theorem4(args) -> list[dict]:
-    rounds_pool = _rounds_pool(args, [2, 3, 4])
     variants = [args.utility.upper()] if args.utility else ["UE", "UM"]
     return [
         _entry(f"theorem4[T={rounds},{variant}]", check_theorem4(rounds, variant))
-        for rounds in rounds_pool
+        for rounds in _rounds_pool(args, [2, 3, 4])
         for variant in variants
     ]
 
 
 def _suite_lemma2(args) -> list[dict]:
-    entries = []
-    for index in range(args.instances):
-        rng = _suite_rng(args.seed, "lemma2", index)
-        rounds = rng.choice(_rounds_pool(args, [2, 3]))
-        spec = explorer.random_square_spec(rng, rounds, 6, "UE")
-        entries.append(_entry(f"lemma2[{index}]", check_lemma2(spec)))
-    return entries
+    def build(rng: random.Random, rounds: int) -> GameSpec:
+        return explorer.random_square_spec(rng, rounds, 6, "UE")
+
+    return [
+        _entry(f"lemma2[{index}]", check_lemma2(spec))
+        for index, spec in _generated(args, "lemma2", [2, 3], build)
+    ]
 
 
 def _suite_lemma5(args) -> list[dict]:
-    entries = []
-    for index in range(args.instances):
-        rng = _suite_rng(args.seed, "lemma5", index)
-        rounds = rng.choice(_rounds_pool(args, [2, 3]))
-        m = rounds + rng.randint(1, 2)
-        spec = explorer.random_weak_tail_spec(rng, rounds, m, 6)
-        entries.append(_entry(f"lemma5[{index}]", check_lemma5(spec)))
-    return entries
+    return [
+        _entry(f"lemma5[{index}]", check_lemma5(spec))
+        for index, spec in _generated(args, "lemma5", [2, 3], _weak_tail)
+    ]
 
 
 def _suite_lemma6(args) -> list[dict]:
@@ -310,14 +307,20 @@ _SUITES = {
     "lemma6": _suite_lemma6,
 }
 
+# Each verify option and the suites that read it; ``verify all`` reads every one.
+_SEEDED = {"theorem1", "theorem2", "theorem3", "lemma2", "lemma5"}
+_VERIFY_OPTIONS = {
+    "T": ({"type": int, "help": "restrict to one round count"}, _SEEDED | {"theorem4"}),
+    "instances": ({"type": int, "default": 10}, _SEEDED),
+    "seed": ({"type": int, "default": 0}, _SEEDED),
+    "Cmax": ({"type": int, "default": 4}, {"lemma6"}),
+    "utility": ({"choices": ["UE", "UM"]}, {"theorem4"}),
+}
+
 
 def _cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise ValidationError(f"--instances must be >= 1, got {args.instances}", "SIZE")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    entries: list[dict] = []
-    for name in names:
-        entries.extend(_SUITES[name](args))
+    entries = [entry for name in names for entry in _SUITES[name](args)]
     ok = all(entry["ok"] for entry in entries)
     _emit({"suite": args.suite, "pass": ok, "checks": entries})
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -346,19 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p):
+    def add_spec_args(p, budget: bool = True):
         p.add_argument("spec", nargs="?", help="path to a JSON spec file")
         p.add_argument(
             "--example",
             help=f"use a built-in instance instead ({', '.join(EXAMPLE_NAMES)})",
         )
         p.add_argument("--utility", choices=["UE", "UM"], help="utility override for ex3")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_CLASS_BUDGET,
-            help="history-class budget for the solver",
-        )
+        if budget:
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_CLASS_BUDGET,
+                help="history-class budget for the solver",
+            )
 
     p = sub.add_parser("solve", help="equilibrium value and strategies")
     add_spec_args(p)
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_best_response)
 
     p = sub.add_parser("classify", help="weakest/dominated/transitive analysis")
-    add_spec_args(p)
+    add_spec_args(p, budget=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("abandon-delta", help="value change when players are dropped")
@@ -388,17 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=sorted(_SUITES) + ["all"],
-        help="which suite to run",
-    )
-    p.add_argument("--T", type=int, help="restrict to one round count")
-    p.add_argument("--instances", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--Cmax", type=int, default=4)
-    p.add_argument("--utility", choices=["UE", "UM"])
     p.set_defaults(func=_cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True, help="which suite to run")
+    for suite in sorted(_SUITES) + ["all"]:
+        q = suites.add_parser(suite)
+        for option, (kwargs, readers) in _VERIFY_OPTIONS.items():
+            if suite == "all" or suite in readers:
+                q.add_argument(f"--{option}", **kwargs)
 
     p = sub.add_parser("sweep", help="search recruiting gains over random instances")
     p.add_argument("--seed", type=int, default=0)
@@ -419,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

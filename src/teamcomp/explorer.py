@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .analysis import add_dominated
+from .analysis import add_dominated, default_recruit_cap
 from .model import (
     GameModelError,
     GameSpec,
@@ -216,10 +216,6 @@ def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     return validate_spec(spec)
 
 
-def default_recruit_cap(rounds: int, utility: str) -> int:
-    return rounds - 1 if utility.upper() == "UE" else rounds // 2
-
-
 def max_gain(
     spec: GameSpec,
     max_recruits: int,
@@ -266,11 +262,12 @@ class SweepSummary:
         return self.max_gain > self.bound
 
     def to_document(self) -> dict:
-        status = (
-            "counterexample candidate: observed gain exceeds the conjectured bound"
-            if self.exceeds_bound
-            else "consistent with the conjectured bound"
-        )
+        if not self.records:
+            status = "no instance solved"
+        elif self.exceeds_bound:
+            status = "counterexample candidate: observed gain exceeds the conjectured bound"
+        else:
+            status = "consistent with the conjectured bound"
         return {
             "seed": self.config.seed,
             "instances": self.config.instances,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from teamcomp.cli import main
 from teamcomp.model import document_from_spec, loads_spec
 from teamcomp.instances import named_instance
@@ -77,6 +79,14 @@ class TestSolveCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(document_from_spec(named_instance("ex1"))))
         code, out, err = run_cli(capsys, "solve", str(path), "--utility", "UM")
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
+    def test_spec_file_with_example_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document_from_spec(named_instance("ex1"))))
+        code, out, err = run_cli(capsys, "solve", str(path), "--example", "card")
         assert code == 2
         assert out == ""
         assert "error[PARSE]" in err
@@ -268,6 +278,23 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "error[SIZE]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "lemma6", "--T", "3"],
+            ["verify", "lemma6", "--seed", "5"],
+            ["verify", "lemma2", "--instances", "1", "--utility", "UM"],
+            ["verify", "theorem4", "--T", "2", "--instances", "3"],
+            ["classify", "--example", "ex2", "--budget", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_option_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:

@@ -154,6 +154,14 @@ class TestSweep:
         assert summary.skipped == (0, 1)
         assert summary.to_document()["skipped"] == [0, 1]
 
+    def test_sweep_that_solved_nothing_says_so(self):
+        config = SearchConfig(
+            seed=0, instances=2, t_range=(1, 1), m_range=(20, 20), max_recruits=1
+        )
+        doc = sweep(config).to_document()
+        assert doc["status"] == "no instance solved"
+        assert doc["witness_index"] is None
+
     def test_other_model_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValidationError("broken instance", "PARSE")
