@@ -245,8 +245,9 @@ def _suite_theorem1(args) -> list[dict]:
 
 def _suite_theorem2(args) -> list[dict]:
     def build(rng: random.Random, rounds: int) -> GameSpec:
-        m = rng.randint(rounds, min(6, rounds + 2))
-        n = rng.randint(rounds, min(6, rounds + 2))
+        most = max(rounds, min(6, rounds + 2))
+        m = rng.randint(rounds, most)
+        n = rng.randint(rounds, most)
         return explorer.random_transitive_spec(rng, rounds, m, n, 6, rng.choice(["UE", "UM"]))
 
     entries = []

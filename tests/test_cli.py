@@ -279,6 +279,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "error[SIZE]" in err
 
+    def test_theorem2_rounds_past_generator_limit_exits_2(self, capsys):
+        # Past six rounds the roster draw is square, so T=21 meets the player
+        # limit as a typed error instead of an empty randint range.
+        code, out, err = run_cli(capsys, "verify", "theorem2", "--T", "21", "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

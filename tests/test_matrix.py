@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teamcomp import matrix
+from teamcomp.explorer import random_strength_rows
 from teamcomp.matrix import (
     MatrixGame,
     best_col_response_value,
@@ -13,7 +16,14 @@ from teamcomp.matrix import (
     row_dominates,
     solve_matrix,
 )
-from teamcomp.model import ROOT_CLASS, ValidationError
+from teamcomp.model import (
+    ROOT_CLASS,
+    ValidationError,
+    document_from_spec,
+    format_rational,
+    loads_spec,
+    make_spec,
+)
 from teamcomp.solver import solve, stage_matrix
 
 from oracles import oracle_matrix_value
@@ -136,6 +146,95 @@ class TestSolveMatrix:
             sol = solve_matrix(g)
             assert sol.value == oracle_matrix_value(g.payoff)
             assert_certificates(g, sol)
+
+
+@st.composite
+def degenerate_games(draw):
+    """Small games with repeated rows and columns, hence often several optimal
+    mixtures, besides generic ones."""
+    g = draw(small_games())
+    rows = [list(row) for row in g.payoff]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.append(list(rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        j = draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
+        for row in rows:
+            row.append(row[j])
+    order = draw(st.permutations(range(len(rows))))
+    return game([rows[i] for i in order])
+
+
+def without_support_guess(call):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_guess_support", lambda payoff: None)
+        return call()
+
+
+class TestSupportGuess:
+    """The certified support guess must return exactly what Bland's rule does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(degenerate_games(), small_games()))
+    def test_same_answer_as_simplex(self, g):
+        assert solve_matrix(g) == without_support_guess(lambda: solve_matrix(g))
+
+    def test_dense_contest_same_tables_and_strategies(self):
+        spec = make_spec(4, random_strength_rows(random.Random(1), 5, 5, 6), "UM")
+        fast = solve(spec)
+        exact = without_support_guess(lambda: solve(spec))
+        assert fast.value_table == exact.value_table
+        assert fast.strategy1 == exact.strategy1
+        assert fast.strategy2 == exact.strategy2
+
+    @pytest.mark.parametrize("factor", [F(10) ** 400, F(1, 10**400)])
+    def test_utilities_beyond_float_range(self, ex3_um, factor):
+        # Stage entries past float range, or rounding to zero, must fall back
+        # to the exact simplex instead of raising OverflowError.
+        doc = document_from_spec(ex3_um)
+        doc["U"] = [format_rational(u * factor) for u in ex3_um.utility.values]
+        scaled = solve(loads_spec(json.dumps(doc)))
+        base = solve(ex3_um)
+        assert scaled.root_value == base.root_value * factor
+        assert scaled.value_table == {k: v * factor for k, v in base.value_table.items()}
+        assert scaled.strategy1 == base.strategy1
+        assert scaled.strategy2 == base.strategy2
+
+    @pytest.mark.parametrize(
+        "rows, support",
+        [
+            ([[2, -1], [-1, 1], [0, 0]], ([0, 1, 2], [0])),  # supports not square
+            ([[1, -1], [1, -1], [-1, 1]], ([0, 1], [0, 1])),  # singular system
+            ([[0, 1], [0, -1]], ([0, 1], [0, 1])),  # column weights (1, 0)
+            ([[0, 0], [1, -1]], ([0, 1], [0, 1])),  # row weights (1, 0)
+            ([[1, -1], [-1, 1], [1, -1]], ([0, 1], [0, 1])),  # spare row earns the value
+            ([[1, -1, -1], [-1, 1, 1]], ([0, 1], [0, 1])),  # spare column pays the value
+        ],
+    )
+    def test_each_certificate_condition_rejects(self, rows, support):
+        assert matrix._certified_solution(game(rows).payoff, *support) is None
+
+    def test_unique_equilibrium_skips_simplex(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("exact simplex ran")
+
+        monkeypatch.setattr(matrix, "_simplex_positive", refuse)
+        sol = solve_matrix(game([[3, -1], [-2, 1]]))
+        assert sol == matrix.MatrixSolution(F(1, 7), (F(3, 7), F(4, 7)), (F(2, 7), F(5, 7)))
+
+    def test_several_optimal_mixtures_reach_simplex(self, monkeypatch):
+        calls = []
+        simplex = matrix._simplex_positive
+
+        def recording(mat):
+            calls.append(mat)
+            return simplex(mat)
+
+        monkeypatch.setattr(matrix, "_simplex_positive", recording)
+        g = game([[1, -1], [1, -1], [-1, 1]])
+        sol = solve_matrix(g)
+        assert len(calls) == 1
+        assert sol.value == 0
+        assert_certificates(g, sol)
 
 
 class TestDominance:
