@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial, floor
+from math import factorial
 from typing import Sequence
 
 from .matrix import (
@@ -29,7 +29,6 @@ from .model import (
     HistoryClassKey,
     MAX_PLAYERS,
     PreconditionError,
-    RedundantPlayersError,
     ROOT_CLASS,
     StrengthMatrix,
     UtilityTable,
@@ -43,6 +42,8 @@ from .model import (
 from .solver import (
     DEFAULT_ENUM_BUDGET,
     SolveResult,
+    _require_no_spares,
+    _require_team,
     enumerate_pure_strategies,
     evaluate_fixed,
     matching_distribution,
@@ -124,8 +125,7 @@ def classify(spec: GameSpec) -> PlayerClassification:
 def abandon(spec: GameSpec, team: int, players: Sequence[int]) -> GameSpec:
     """Remove the given players (zero-based) before play; T and U unchanged."""
     validate_spec(spec)
-    if team not in (1, 2):
-        raise ValidationError(f"team must be 1 or 2, got {team}", "PARSE")
+    _require_team(team)
     size = spec.team1_size if team == 1 else spec.team2_size
     drop = set(players)
     for p in drop:
@@ -184,6 +184,11 @@ def default_recruit_cap(rounds: int, utility: str) -> int:
 # Parametrized threshold contests
 # ---------------------------------------------------------------------------
 
+def _halves(c: int) -> tuple[int, int]:
+    """ceil(c/2) and floor(c/2), exactly."""
+    return (c + 1) // 2, c // 2
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Parameters of the threshold contest family.
@@ -199,7 +204,8 @@ class GammaParams:
     b: int
 
     def validate(self) -> "GammaParams":
-        if self.c < 1 or not 0 <= self.a <= ceil(self.c / 2) or not 0 <= self.b <= floor(self.c / 2):
+        up, down = _halves(self.c)
+        if self.c < 1 or not 0 <= self.a <= up or not 0 <= self.b <= down:
             raise ValidationError(
                 f"invalid threshold-game parameters c={self.c}, a={self.a}, b={self.b}",
                 "PARAMS",
@@ -212,12 +218,12 @@ class GammaParams:
 
     @property
     def team_size(self) -> int:
-        return (self.c - self.a) + (floor(self.c / 2) - self.b)
+        return (self.c - self.a) + (_halves(self.c)[1] - self.b)
 
     @property
     def threshold(self) -> int:
         """Round wins Team 1 needs for utility +1 (otherwise -1)."""
-        return ceil(self.c / 2) - self.a
+        return _halves(self.c)[0] - self.a
 
 
 def gamma_game(params: GammaParams) -> GameSpec:
@@ -281,13 +287,6 @@ def _class_label(key: HistoryClassKey, m: int, n: int) -> str:
     return f"k={key.round_index} X={xs} Y={ys} w={key.wins}"
 
 
-def _decision_classes(result: SolveResult):
-    rounds = result.spec.rounds
-    for key in result.value_table:
-        if key.round_index < rounds:
-            yield key
-
-
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
@@ -300,14 +299,11 @@ def check_theorem1(spec: GameSpec) -> CheckReport:
     value and the uniform column mixture at most the class value.
     """
     validate_spec(spec)
+    _require_no_spares(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    if m != rounds or n != rounds:
-        raise RedundantPlayersError(
-            f"needs team sizes equal to T (have {m} and {n}, T={rounds})"
-        )
     result = solve(spec)
     witnesses = []
-    for key in _decision_classes(result):
+    for key in result.strategy1.moves:
         game = stage_matrix(spec, result.value_table, key)
         value = result.value_table[key]
         row_guarantee = best_col_response_value(game, [Fraction(1, game.rows)] * game.rows)
@@ -363,17 +359,17 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
 
     rank = {player: pos for pos, player in enumerate(strongest_first)}
     m, n = spec.team1_size, spec.team2_size
-    for key in _decision_classes(result):
+    for key in result.strategy1.moves:
         k = key.round_index
-        own_mask = key.played1 if team == 1 else key.played2
-        remaining = sorted(unplayed(own_mask, size), key=rank.__getitem__)
+        # Ascending index = stage-game line order.
+        lines = unplayed(key.played1 if team == 1 else key.played2, size)
+        remaining = sorted(lines, key=rank.__getitem__)
         top = remaining[: rounds - k]
         rest = remaining[rounds - k :]
         if not rest:
             continue
         game = stage_matrix(spec, result.value_table, key)
-        lines = unplayed(own_mask, size)  # ascending index = stage-game order
-        pos = {player: lines.index(player) for player in remaining}
+        pos = {player: p for p, player in enumerate(lines)}
         anchor = top[-1]
         dominates = row_dominates if team == 1 else col_dominates
         for other in rest:
@@ -440,11 +436,8 @@ def check_lemma2(spec: GameSpec) -> CheckReport:
     Exhaustive over all realization-distinct Team-2 pure adaptive strategies.
     """
     validate_spec(spec)
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    if m != rounds or n != rounds:
-        raise RedundantPlayersError(
-            f"needs team sizes equal to T (have {m} and {n}, T={rounds})"
-        )
+    _require_no_spares(spec)
+    rounds = spec.rounds
     expected = Fraction(1, factorial(rounds))
     uniform1 = uniform_strategy(spec, 1)
     witnesses = []
@@ -633,8 +626,9 @@ def check_lemma6(c_max: int) -> CheckReport:
     roots: dict[tuple[int, int, int], SolveResult] = {}
     witnesses: list[str] = []
     for c in range(1, c_max + 1):
-        for a in range(ceil(c / 2) + 1):
-            for b in range(floor(c / 2) + 1):
+        up, down = _halves(c)
+        for a in range(up + 1):
+            for b in range(down + 1):
                 params = GammaParams(c, a, b)
                 if params.rounds == 0:
                     # Round-less corner: the threshold is already met, so the
@@ -647,13 +641,14 @@ def check_lemma6(c_max: int) -> CheckReport:
 
     for (c, a, b), value in values.items():
         tag = f"c={c} a={a} b={b}"
+        up, down = _halves(c)
         if not value > -1:
             witnesses.append(f"{tag}: value {value} is not above -1")
-        if a == ceil(c / 2) and value != 1:
+        if a == up and value != 1:
             witnesses.append(f"{tag}: threshold already met but value is {value}")
-        if a + 1 <= ceil(c / 2) and values[(c, a + 1, b)] < value:
+        if a + 1 <= up and values[(c, a + 1, b)] < value:
             witnesses.append(f"{tag}: loosening the threshold lowered the value")
-        if a < ceil(c / 2) and b < floor(c / 2):
+        if a < up and b < down:
             result = roots[(c, a, b)]
             game = stage_matrix(result.spec, result.value_table, ROOT_CLASS)
             strong = c - a

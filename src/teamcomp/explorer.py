@@ -26,13 +26,10 @@ from .analysis import add_dominated, default_recruit_cap
 from .model import (
     GameModelError,
     GameSpec,
-    StrengthMatrix,
     ValidationError,
     document_from_spec,
     format_rational,
     make_spec,
-    utility_ue,
-    utility_um,
     validate_spec,
 )
 from .solver import solve
@@ -189,16 +186,12 @@ def spec_digest(spec: GameSpec) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _instance_rng(seed: int, index: int) -> random.Random:
-    return random.Random(f"{seed}:{index}")
-
-
 def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     """Deterministic instance number ``index`` of the configured stream."""
     config.validate()
     if not 0 <= index < config.instances:
         raise ValidationError(f"index {index} outside 0..{config.instances - 1}", "SIZE")
-    rng = _instance_rng(config.seed, index)
+    rng = random.Random(f"{config.seed}:{index}")
     rounds = rng.randint(*config.t_range)
     lo = max(config.m_range[0], rounds)
     hi = max(config.m_range[1], lo)
@@ -209,11 +202,7 @@ def generate_instance(config: SearchConfig, index: int) -> GameSpec:
         rows = _permutation_pattern_rows(rng, team1_size, team2_size)
     else:
         rows = random_strength_rows(rng, team1_size, team2_size, config.denominator_bound)
-    utility = (
-        utility_ue(rounds) if config.utility.upper() == "UE" else utility_um(rounds)
-    )
-    spec = GameSpec(rounds, StrengthMatrix(tuple(tuple(r) for r in rows)), utility)
-    return validate_spec(spec)
+    return validate_spec(make_spec(rounds, rows, config.utility))
 
 
 def max_gain(
@@ -307,18 +296,14 @@ def sweep(config: SearchConfig) -> SweepSummary:
             if exc.code not in ("BUDGET", "SIZE"):
                 raise
             skipped.append(index)
-    best = _ZERO
-    witness: GainRecord | None = None
-    for record in records:
-        if record.gain > best:
-            best = record.gain
-            witness = record
+    # The first record with the largest positive gain; a zero gain witnesses nothing.
+    witness = max((r for r in records if r.gain > 0), key=lambda r: r.gain, default=None)
     bound = Fraction(1) if utility == "UE" else Fraction(2, 3)
     return SweepSummary(
         config=config,
         records=tuple(records),
         skipped=tuple(skipped),
-        max_gain=best,
+        max_gain=witness.gain if witness else _ZERO,
         witness_index=witness.index if witness else None,
         witness_digest=witness.digest if witness else None,
         bound=bound,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,9 @@ def simulate_competitions(
     validate_spec(spec)
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}", "SIZE")
+    # The variance sums squared utilities in floats; that sum must stay finite.
+    if any(u * u * samples > sys.float_info.max for u in spec.utility.values):
+        raise ValidationError("utility values too large to sample in floats", "RANGE")
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     win_prob = [[float(p) for p in row] for row in spec.strength.entries]
     utility = [float(u) for u in spec.utility.values]

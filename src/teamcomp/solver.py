@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from typing import Iterator, Mapping, Union
 
@@ -219,6 +220,14 @@ def _require_team(team: int) -> None:
         raise ValidationError(f"team must be 1 or 2, got {team}", "PARSE")
 
 
+def _require_no_spares(spec: GameSpec) -> None:
+    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+    if m != rounds or n != rounds:
+        raise RedundantPlayersError(
+            f"needs team sizes equal to T (have {m} and {n}, T={rounds})"
+        )
+
+
 def _distribution_at(
     strategy: Strategy,
     key: HistoryClassKey,
@@ -332,11 +341,7 @@ def matching_distribution(
     marginalized over match outcomes and sum to one.
     """
     validate_spec(spec)
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    if m != rounds or n != rounds:
-        raise RedundantPlayersError(
-            f"matchings need team sizes equal to T (have {m} and {n}, T={rounds})"
-        )
+    _require_no_spares(spec)
     result: dict[tuple[int, ...], Fraction] = {}
     for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
         matching = tuple(j for _i, j in pairs)  # pairs already sorted by i
@@ -430,26 +435,21 @@ def max_meeting_probability(spec: GameSpec, row_player: int, col_player: int) ->
         raise ValidationError("player index out of range", "INDEX")
 
     # Only pairs of played sets after which the two can still meet are
-    # stored; every other one, terminal sets included, is worth zero.
-    values: dict[tuple[int, int], Fraction] = {}
-    for k in range(rounds - 1, -1, -1):
-        share = Fraction(1, n - k)
-        for xmask in _masks(m, k):
-            if (xmask >> row_player) & 1:
-                continue
-            for ymask in _masks(n, k):
-                if (ymask >> col_player) & 1:
-                    continue
-                best = _ZERO
-                for i in unplayed(xmask, m):
-                    total = _ZERO
-                    for j in unplayed(ymask, n):
-                        if i == row_player and j == col_player:
-                            total += _ONE
-                        else:
-                            total += values.get((xmask | (1 << i), ymask | (1 << j)), _ZERO)
-                    value = share * total
-                    if value > best:
-                        best = value
-                values[(xmask, ymask)] = best
-    return values[(0, 0)]
+    # visited; every other one, terminal sets included, is worth zero.
+    @cache
+    def best(xmask: int, ymask: int) -> Fraction:
+        k = xmask.bit_count()
+        if k == rounds:
+            return _ZERO
+        totals = []
+        for i in unplayed(xmask, m):
+            total = _ZERO
+            for j in unplayed(ymask, n):
+                if i == row_player and j == col_player:
+                    total += _ONE
+                elif i != row_player and j != col_player:
+                    total += best(xmask | (1 << i), ymask | (1 << j))
+            totals.append(total)
+        return max(totals) / (n - k)
+
+    return best(0, 0)

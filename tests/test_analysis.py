@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, comb, floor
 
 import pytest
 
+from teamcomp import analysis
 from teamcomp.analysis import (
     GammaParams,
     abandon,
@@ -35,7 +36,7 @@ from teamcomp.model import (
     ValidationError,
     make_spec,
 )
-from teamcomp.solver import solve
+from teamcomp.solver import class_count, solve
 from teamcomp.instances import named_instance
 
 F = Fraction
@@ -225,6 +226,22 @@ class TestTheorem1:
     def test_redundant_error(self, ex1_spec):
         with pytest.raises(RedundantPlayersError):
             check_theorem1(ex1_spec)
+
+    def test_one_stage_game_per_decision_class(self, monkeypatch):
+        rounds = 3
+        spec = random_square_spec(random.Random("t1-classes"), rounds, 4, "UM")
+        built = []
+        stage_matrix = analysis.stage_matrix
+
+        def counting(game_spec, values, key):
+            built.append(key)
+            return stage_matrix(game_spec, values, key)
+
+        monkeypatch.setattr(analysis, "stage_matrix", counting)
+        check_theorem1(spec)
+        terminal = comb(rounds, rounds) ** 2 * (rounds + 1)
+        assert len(built) == class_count(rounds, rounds, rounds) - terminal
+        assert len(set(built)) == len(built)
 
 
 class TestTheorem2:

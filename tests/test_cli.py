@@ -200,10 +200,12 @@ class TestOtherCommands:
         assert "PARAMS" in err
 
     def test_gamma_over_player_limit_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "gamma", "--C", "14")
-        assert code == 2
-        assert out == ""
-        assert "error[SIZE]" in err
+        # 10**400 is past float range: halving C must stay in integers.
+        for scale in ("14", str(10**400)):
+            code, out, err = run_cli(capsys, "gamma", "--C", scale)
+            assert code == 2
+            assert out == ""
+            assert "error[SIZE]" in err
 
     def test_simulate_deterministic(self, capsys):
         runs = [
@@ -223,6 +225,16 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert "error[SIZE]" in err
+
+    @pytest.mark.parametrize("utility", ["1e400", "1e200"])
+    def test_simulate_utility_too_large_for_floats_exits_2(self, capsys, tmp_path, utility):
+        # 1e400 overflows float(); 1e200 squares to inf in the variance sum.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"T": 1, "P": [["1/2"]], "U": [f"-{utility}", utility]}))
+        code, out, err = run_cli(capsys, "simulate", str(path), "--samples", "10")
+        assert code == 2
+        assert out == ""
+        assert "error[RANGE]" in err
 
 
 class TestVerifyCommand:

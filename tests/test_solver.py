@@ -417,18 +417,25 @@ class TestMaxMeetingProbability:
 
     def test_matches_enumeration_peak(self):
         # The backward-induction bound must equal the best over all pure
-        # adaptive strategies on an instance small enough to enumerate.
-        spec = make_spec(2, [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]], "UE")
-        uniform2 = uniform_strategy(spec, 2)
-        peaks = [[F(0)] * 2 for _ in range(3)]
-        for pure in enumerate_pure_strategies(spec, 1):
-            grid = meeting_probabilities(spec, pure, uniform2)
-            for i in range(3):
-                for j in range(2):
-                    peaks[i][j] = max(peaks[i][j], grid[i][j])
-        for i in range(3):
-            for j in range(2):
-                assert max_meeting_probability(spec, i, j) == peaks[i][j]
+        # adaptive strategies on instances small enough to enumerate.  The
+        # 3x3 one has spares on both sides, so Team 2 may never field the
+        # column player.
+        for rows in (
+            [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]],
+            [["1/2", "1/3", "1/4"], ["1/5", "1/6", "1/7"], ["1/8", "1/9", "1/10"]],
+        ):
+            spec = make_spec(2, rows, "UE")
+            m, n = spec.team1_size, spec.team2_size
+            uniform2 = uniform_strategy(spec, 2)
+            peaks = [[F(0)] * n for _ in range(m)]
+            for pure in enumerate_pure_strategies(spec, 1):
+                grid = meeting_probabilities(spec, pure, uniform2)
+                for i in range(m):
+                    for j in range(n):
+                        peaks[i][j] = max(peaks[i][j], grid[i][j])
+            for i in range(m):
+                for j in range(n):
+                    assert max_meeting_probability(spec, i, j) == peaks[i][j]
 
 
 class TestSimulation:
