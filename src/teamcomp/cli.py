@@ -36,6 +36,7 @@ from .model import (
     GameModelError,
     GameSpec,
     HistoryClassKey,
+    MAX_PLAYERS,
     ROOT_CLASS,
     ValidationError,
     document_from_spec,
@@ -206,6 +207,8 @@ def _rounds_pool(args, default: list[int]) -> list[int]:
     """Round counts a suite draws from: ``--T`` alone when given."""
     if args.T is not None and args.T < 1:
         raise ValidationError(f"--T must be >= 1, got {args.T}", "SIZE")
+    if args.T is not None and args.T > MAX_PLAYERS:
+        raise ValidationError(f"--T={args.T} exceeds the {MAX_PLAYERS}-player limit", "SIZE")
     return default if args.T is None else [args.T]
 
 

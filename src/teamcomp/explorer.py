@@ -26,6 +26,7 @@ from .analysis import add_dominated, default_recruit_cap
 from .model import (
     GameModelError,
     GameSpec,
+    MAX_PLAYERS,
     ValidationError,
     document_from_spec,
     format_rational,
@@ -148,7 +149,7 @@ class SearchConfig:
     def validate(self) -> "SearchConfig":
         if self.instances < 1:
             raise ValidationError("need at least one instance", "SIZE")
-        if self.t_range[0] > self.t_range[1] or self.t_range[0] < 1:
+        if not 1 <= self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad round range {self.t_range}", "SIZE")
         if self.m_range[0] > self.m_range[1]:
             raise ValidationError(f"bad size range {self.m_range}", "SIZE")

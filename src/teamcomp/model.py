@@ -7,8 +7,9 @@ probability stored in the strength matrix.  Utilities are zero-sum and depend
 only on how many rounds Team 1 ends up winning.
 
 Everything on the solving path is exact: probabilities, utilities and game
-values are `fractions.Fraction`, and no float is ever produced or consumed in
-this package outside of the Monte Carlo sampler.
+values are `fractions.Fraction`, and stage games are solved in integers.
+Floats appear only in the Monte Carlo sampler and the `approx_*` fields of its
+report.
 """
 
 from __future__ import annotations
@@ -243,12 +244,17 @@ def make_spec(
     utility: UtilityTable | str | Sequence[RationalLike],
 ) -> GameSpec:
     """Convenience constructor; ``utility`` may be a table, "UE"/"UM", or an
-    explicit sequence of rounds+1 rationals."""
+    explicit sequence of rounds+1 rationals.
+
+    A named table has T+1 entries, so T is checked against the roster first.
+    """
     strength = StrengthMatrix.from_rows(strength_rows)
     if isinstance(utility, UtilityTable):
         table = utility
     elif isinstance(utility, str):
         name = utility.strip().upper()
+        if name in ("UE", "UM") and rounds >= 1:  # T < 1 keeps the builders' own error
+            _check_roster(rounds, strength.rows, strength.cols)
         if name == "UE":
             table = utility_ue(rounds)
         elif name == "UM":
@@ -260,6 +266,18 @@ def make_spec(
     return GameSpec(rounds, strength, table)
 
 
+def _check_roster(rounds: int, m: int, n: int) -> None:
+    """The player limit, then at least ``rounds`` players on each team."""
+    if m > MAX_PLAYERS or n > MAX_PLAYERS:
+        raise ValidationError(
+            f"team sizes {m}x{n} exceed the {MAX_PLAYERS}-player limit", "SIZE"
+        )
+    if rounds > min(m, n):
+        raise ValidationError(
+            f"T={rounds} needs at least T players per team (have {m} and {n})", "SIZE"
+        )
+
+
 def validate_spec(spec: GameSpec) -> GameSpec:
     """Check every structural invariant and return the spec unchanged.
 
@@ -268,18 +286,9 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     The antisymmetry of the utility table is reported via
     ``spec.utility.antisymmetric``, never enforced.
     """
-    m, n = spec.strength.rows, spec.strength.cols
     if spec.rounds < 1:
         raise ValidationError(f"T must be >= 1, got {spec.rounds}", "SIZE")
-    if m > MAX_PLAYERS or n > MAX_PLAYERS:
-        raise ValidationError(
-            f"team sizes {m}x{n} exceed the {MAX_PLAYERS}-player limit", "SIZE"
-        )
-    if spec.rounds > min(m, n):
-        raise ValidationError(
-            f"T={spec.rounds} needs at least T players per team (have {m} and {n})",
-            "SIZE",
-        )
+    _check_roster(spec.rounds, spec.strength.rows, spec.strength.cols)
     for i, row in enumerate(spec.strength.entries):
         for j, p in enumerate(row):
             if p < 0 or p > 1:

@@ -2,8 +2,8 @@
 
 The only module whose results are floats: strategy weights and win
 probabilities are converted to floats for sampling, and the resulting sample
-mean is compared against the exact solver value.  (The matrix solver's float
-support guess never reaches a returned value.)  Seeded, hence reproducible.
+mean is compared against the exact solver value.  Seeded, hence
+reproducible.
 """
 
 from __future__ import annotations

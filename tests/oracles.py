@@ -5,6 +5,10 @@ is found by square-support enumeration with certificate verification (no
 simplex, no pivoting), and the contest value is found by recursing over raw
 ordered histories (no class collapsing, no bit masks).  Slow but trustworthy
 on the small fixtures they are applied to.
+
+``bland_reference`` is the one oracle that pivots: it pins down which optimal
+mixtures the production solver must return, by running Bland's rule on the
+full tableau over ``Fraction`` (no integer scaling, no condensed columns).
 """
 
 from __future__ import annotations
@@ -88,6 +92,67 @@ def oracle_matrix_value(payoff) -> Fraction:
                 ):
                     return value
     raise AssertionError("support enumeration found no equilibrium; impossible")
+
+
+def bland_reference(payoff) -> tuple[Fraction, tuple, tuple]:
+    """(value, row mixture, column mixture) that the matrix solver must return.
+
+    A pure saddle point is taken in scan order.  Otherwise the game is shifted
+    so that every entry is at least 1 and
+
+        maximize 1.w  subject to  M'w <= 1,  w >= 0
+
+    is solved on the full rational tableau with Bland's rule: the lowest
+    variable with a negative reduced cost enters, the smallest ratio leaves
+    and ties go to the lowest basic variable.  The LP optimum is 1/v' for the
+    shifted value v'; w and the slack reduced costs, rescaled by v', are the
+    column and row mixtures.
+    """
+    n_rows, n_cols = len(payoff), len(payoff[0])
+    row_mins = [min(row) for row in payoff]
+    col_maxs = [max(payoff[i][j] for i in range(n_rows)) for j in range(n_cols)]
+    if max(row_mins) == min(col_maxs):
+        i_star, j_star = row_mins.index(max(row_mins)), col_maxs.index(min(col_maxs))
+        row = tuple(ONE if i == i_star else ZERO for i in range(n_rows))
+        col = tuple(ONE if j == j_star else ZERO for j in range(n_cols))
+        return max(row_mins), row, col
+
+    shift = ONE - min(row_mins)
+    n_vars = n_cols + n_rows  # structural + slack; the rhs follows them
+    rows = []
+    for i in range(n_rows):
+        row = [a + shift for a in payoff[i]] + [ZERO] * n_rows + [ONE]
+        row[n_cols + i] = ONE
+        rows.append(row)
+    objective = [-ONE] * n_cols + [ZERO] * (n_rows + 1)
+    basis = [n_cols + i for i in range(n_rows)]
+    while True:
+        enter = next((j for j in range(n_vars) if objective[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(n_rows):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        pivot_row = [v / rows[leave][enter] for v in rows[leave]]
+        rows[leave] = pivot_row
+        for i in range(n_rows):
+            if i != leave and rows[i][enter]:
+                factor = rows[i][enter]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], pivot_row)]
+        factor = objective[enter]
+        objective = [a - factor * b for a, b in zip(objective, pivot_row)]
+        basis[leave] = enter
+
+    scale = 1 / objective[-1]
+    w = [ZERO] * n_cols
+    for i, var in enumerate(basis):
+        if var < n_cols:
+            w[var] = rows[i][-1]
+    row = tuple(u * scale for u in objective[n_cols:n_vars])
+    return scale - shift, row, tuple(x * scale for x in w)
 
 
 def oracle_game_value(spec) -> Fraction:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from teamcomp import explorer
 from teamcomp.cli import main
 from teamcomp.model import document_from_spec, loads_spec
 from teamcomp.instances import named_instance
@@ -295,6 +296,24 @@ class TestVerifyCommand:
         # Past six rounds the roster draw is square, so T=21 meets the player
         # limit as a typed error instead of an empty randint range.
         code, out, err = run_cli(capsys, "verify", "theorem2", "--T", "21", "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "lemma5", "--T", "8000", "--instances", "1"],
+            ["sweep", "--T", "3000", "--instances", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_rounds_past_player_limit_exit_2_before_drawing(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("drew a roster")
+
+        monkeypatch.setattr(explorer, "random_strength_rows", refuse)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "error[SIZE]" in err

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamcomp import matrix
+from teamcomp import solver
 from teamcomp.explorer import random_strength_rows
 from teamcomp.matrix import (
     MatrixGame,
+    MatrixSolution,
     best_col_response_value,
     best_row_response_value,
     col_dominates,
@@ -26,7 +27,7 @@ from teamcomp.model import (
 )
 from teamcomp.solver import solve, stage_matrix
 
-from oracles import oracle_matrix_value
+from oracles import bland_reference, oracle_matrix_value
 
 F = Fraction
 
@@ -164,32 +165,32 @@ def degenerate_games(draw):
     return game([rows[i] for i in order])
 
 
-def without_support_guess(call):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix, "_guess_support", lambda payoff: None)
-        return call()
+def reference(g):
+    return MatrixSolution(*bland_reference(g.payoff))
 
 
 class TestSupportGuess:
-    """The certified support guess must return exactly what Bland's rule does."""
+    """Where several mixtures are optimal, the solver must land on the ones
+    Bland's rule picks on the full rational tableau."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(degenerate_games(), small_games()))
     def test_same_answer_as_simplex(self, g):
-        assert solve_matrix(g) == without_support_guess(lambda: solve_matrix(g))
+        assert solve_matrix(g) == reference(g)
 
-    def test_dense_contest_same_tables_and_strategies(self):
+    def test_dense_contest_same_tables_and_strategies(self, monkeypatch):
         spec = make_spec(4, random_strength_rows(random.Random(1), 5, 5, 6), "UM")
-        fast = solve(spec)
-        exact = without_support_guess(lambda: solve(spec))
-        assert fast.value_table == exact.value_table
-        assert fast.strategy1 == exact.strategy1
-        assert fast.strategy2 == exact.strategy2
+        solved = solve(spec)
+        monkeypatch.setattr(solver, "solve_matrix", reference)
+        expected = solve(spec)
+        assert solved.value_table == expected.value_table
+        assert solved.strategy1 == expected.strategy1
+        assert solved.strategy2 == expected.strategy2
 
     @pytest.mark.parametrize("factor", [F(10) ** 400, F(1, 10**400)])
     def test_utilities_beyond_float_range(self, ex3_um, factor):
-        # Stage entries past float range, or rounding to zero, must fall back
-        # to the exact simplex instead of raising OverflowError.
+        # Stage entries far past float range, or far below its resolution,
+        # scale the values and leave the strategies alone: nothing is rounded.
         doc = document_from_spec(ex3_um)
         doc["U"] = [format_rational(u * factor) for u in ex3_um.utility.values]
         scaled = solve(loads_spec(json.dumps(doc)))
@@ -199,42 +200,33 @@ class TestSupportGuess:
         assert scaled.strategy1 == base.strategy1
         assert scaled.strategy2 == base.strategy2
 
-    @pytest.mark.parametrize(
-        "rows, support",
-        [
-            ([[2, -1], [-1, 1], [0, 0]], ([0, 1, 2], [0])),  # supports not square
-            ([[1, -1], [1, -1], [-1, 1]], ([0, 1], [0, 1])),  # singular system
-            ([[0, 1], [0, -1]], ([0, 1], [0, 1])),  # column weights (1, 0)
-            ([[0, 0], [1, -1]], ([0, 1], [0, 1])),  # row weights (1, 0)
-            ([[1, -1], [-1, 1], [1, -1]], ([0, 1], [0, 1])),  # spare row earns the value
-            ([[1, -1, -1], [-1, 1, 1]], ([0, 1], [0, 1])),  # spare column pays the value
-        ],
-    )
-    def test_each_certificate_condition_rejects(self, rows, support):
-        assert matrix._certified_solution(game(rows).payoff, *support) is None
-
-    def test_unique_equilibrium_skips_simplex(self, monkeypatch):
-        def refuse(mat):
-            raise AssertionError("exact simplex ran")
-
-        monkeypatch.setattr(matrix, "_simplex_positive", refuse)
+    def test_unique_equilibrium(self):
         sol = solve_matrix(game([[3, -1], [-2, 1]]))
-        assert sol == matrix.MatrixSolution(F(1, 7), (F(3, 7), F(4, 7)), (F(2, 7), F(5, 7)))
+        assert sol == MatrixSolution(F(1, 7), (F(3, 7), F(4, 7)), (F(2, 7), F(5, 7)))
 
-    def test_several_optimal_mixtures_reach_simplex(self, monkeypatch):
-        calls = []
-        simplex = matrix._simplex_positive
-
-        def recording(mat):
-            calls.append(mat)
-            return simplex(mat)
-
-        monkeypatch.setattr(matrix, "_simplex_positive", recording)
+    def test_several_optimal_mixtures(self):
         g = game([[1, -1], [1, -1], [-1, 1]])
         sol = solve_matrix(g)
-        assert len(calls) == 1
+        assert sol == reference(g)
         assert sol.value == 0
         assert_certificates(g, sol)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # Both rows tie in the first ratio test; the lower slack leaves.
+            ([[0, -2, 2], [0, 2, -1]], (F(0), (F(1, 2), F(1, 2)), (F(1), F(0), F(0)))),
+            # The two equal rows tie in the first ratio test.
+            (
+                [[-2, 1], [2, 0], [2, 0]],
+                (F(2, 5), (F(2, 5), F(3, 5), F(0)), (F(1, 5), F(4, 5))),
+            ),
+        ],
+    )
+    def test_ratio_ties_go_to_lowest_basic_variable(self, rows, expected):
+        g = game(rows)
+        assert solve_matrix(g) == MatrixSolution(*expected)
+        assert reference(g) == MatrixSolution(*expected)
 
 
 class TestDominance:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from teamcomp import model
 from teamcomp.model import (
     MAX_PLAYERS,
     GameSpec,
@@ -194,6 +195,18 @@ class TestSpecDocuments:
             {"T": 1, "P": [["1/3", "0.25", 1]], "U": ["-1/2", "1/2"]}
         )
         assert spec.strength.row(0) == (Fraction(1, 3), Fraction(1, 4), Fraction(1))
+
+    def test_round_count_past_roster_rejected_before_named_table(self, monkeypatch):
+        # A T+1-entry table for a T the roster cannot play is never built;
+        # the error is the one validate_spec gives.
+        def refuse(rounds):
+            raise AssertionError(f"built a {rounds + 1}-entry utility table")
+
+        monkeypatch.setattr(model, "utility_ue", refuse)
+        with pytest.raises(ValidationError) as err:
+            loads_spec('{"T": 1000000, "P": [["1"]], "U": "UE"}')
+        assert err.value.code == "SIZE"
+        assert str(err.value) == "T=1000000 needs at least T players per team (have 1 and 1)"
 
     def test_derived_specs_round_trip(self, ex3_um):
         # Specs produced by roster surgery and by the threshold-contest
