@@ -37,7 +37,6 @@ from .model import (
     player_label,
     unplayed,
     utility_ue,
-    validate_spec,
 )
 from .solver import (
     DEFAULT_ENUM_BUDGET,
@@ -110,7 +109,6 @@ def classify(spec: GameSpec) -> PlayerClassification:
     Team 2's player j beats Team 1's player i with probability 1 - P[i][j],
     so Team 2's flags are the row-player flags of the mirror 1 - P^T.
     """
-    validate_spec(spec)
     strength = spec.strength
     mirror = StrengthMatrix(
         tuple(tuple(1 - p for p in strength.col(j)) for j in range(strength.cols))
@@ -124,7 +122,6 @@ def classify(spec: GameSpec) -> PlayerClassification:
 
 def abandon(spec: GameSpec, team: int, players: Sequence[int]) -> GameSpec:
     """Remove the given players (zero-based) before play; T and U unchanged."""
-    validate_spec(spec)
     _require_team(team)
     size = spec.team1_size if team == 1 else spec.team2_size
     drop = set(players)
@@ -160,7 +157,6 @@ def abandonment_delta(spec: GameSpec, team: int, players: Sequence[int]) -> Frac
 
 def add_dominated(spec: GameSpec, count: int) -> GameSpec:
     """Recruit ``count`` players for Team 1 that lose every match."""
-    validate_spec(spec)
     if count < 0:
         raise ValidationError(f"recruit count must be >= 0, got {count}", "SIZE")
     if count == 0:
@@ -298,7 +294,6 @@ def check_theorem1(spec: GameSpec) -> CheckReport:
     At each class the uniform row mixture must guarantee at least the class
     value and the uniform column mixture at most the class value.
     """
-    validate_spec(spec)
     _require_no_spares(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     result = solve(spec)
@@ -337,7 +332,6 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
     lowest-ranked player inside the team's top block dominates the line of
     every player outside the block.
     """
-    validate_spec(spec)
     if not spec.utility.monotone:
         raise PreconditionError("utility table is not monotone")
     strongest_first = _strength_order_desc(spec, team)
@@ -390,7 +384,6 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
 
 def top_block_uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     """Uniform play restricted to the team's strongest T players."""
-    validate_spec(spec)
     strongest_first = _strength_order_desc(spec, team)
     top = set(strongest_first[: spec.rounds])
     base = uniform_strategy(spec, team)
@@ -405,7 +398,6 @@ def top_block_uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
 def check_corollary1(spec: GameSpec) -> CheckReport:
     """When both teams are transitive under a monotone utility, uniform play
     over each team's strongest T players is an equilibrium profile."""
-    validate_spec(spec)
     if not spec.utility.monotone:
         raise PreconditionError("utility table is not monotone")
     result = solve(spec)
@@ -435,7 +427,6 @@ def check_lemma2(spec: GameSpec) -> CheckReport:
 
     Exhaustive over all realization-distinct Team-2 pure adaptive strategies.
     """
-    validate_spec(spec)
     _require_no_spares(spec)
     rounds = spec.rounds
     expected = Fraction(1, factorial(rounds))
@@ -465,7 +456,6 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
       * per-strategy meeting grids for every enumerable Team-1 pure adaptive
         strategy (run when the enumeration fits the budget).
     """
-    validate_spec(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if n != rounds:
         raise PreconditionError(f"needs Team 2 without spares (n={n}, T={rounds})")
@@ -526,7 +516,6 @@ def check_theorem3(spec: GameSpec) -> CheckReport:
     checker under a different utility documents exactly how the claim breaks
     there; ``pass`` reflects whether the value survived the abandonment.
     """
-    validate_spec(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if m <= rounds:
         raise PreconditionError(f"Team 1 needs spare players (m={m}, T={rounds})")

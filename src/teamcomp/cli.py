@@ -43,7 +43,6 @@ from .model import (
     format_rational,
     load_spec,
     player_label,
-    validate_spec,
 )
 from .montecarlo import simulate_competitions
 from .solver import (
@@ -73,7 +72,7 @@ def _load_spec_arg(args) -> GameSpec:
         raise GameModelError("provide a spec file or --example NAME", "PARSE")
     if args.utility is not None:
         raise ValidationError("--utility applies only to --example ex3", "PARSE")
-    return validate_spec(load_spec(args.spec))
+    return load_spec(args.spec)
 
 
 def _class_document(key: HistoryClassKey, value: Fraction, m: int, n: int) -> dict:

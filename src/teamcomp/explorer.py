@@ -31,7 +31,6 @@ from .model import (
     document_from_spec,
     format_rational,
     make_spec,
-    validate_spec,
 )
 from .solver import solve
 
@@ -151,7 +150,7 @@ class SearchConfig:
             raise ValidationError("need at least one instance", "SIZE")
         if not 1 <= self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad round range {self.t_range}", "SIZE")
-        if self.m_range[0] > self.m_range[1]:
+        if not self.m_range[0] <= self.m_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad size range {self.m_range}", "SIZE")
         if self.denominator_bound < 1:
             raise ValidationError("denominator bound must be >= 1", "SIZE")
@@ -203,7 +202,7 @@ def generate_instance(config: SearchConfig, index: int) -> GameSpec:
         rows = _permutation_pattern_rows(rng, team1_size, team2_size)
     else:
         rows = random_strength_rows(rng, team1_size, team2_size, config.denominator_bound)
-    return validate_spec(make_spec(rounds, rows, config.utility))
+    return make_spec(rounds, rows, config.utility)
 
 
 def max_gain(
@@ -215,7 +214,6 @@ def max_gain(
 ) -> GainRecord:
     """Solve the contest with 0..max_recruits extra always-losing players and
     report the best value with the smallest recruit count achieving it."""
-    validate_spec(spec)
     base = solve(spec).root_value
     best = base
     best_count = 0

@@ -4,7 +4,8 @@ A contest runs for a fixed number of rounds.  Every round each team commits
 one of its previously unused players, both picks are revealed simultaneously,
 and the committed pair plays a match that the row-side player wins with the
 probability stored in the strength matrix.  Utilities are zero-sum and depend
-only on how many rounds Team 1 ends up winning.
+only on how many rounds Team 1 ends up winning.  A `GameSpec` is validated
+when it is built, so no function that takes one checks it again.
 
 Everything on the solving path is exact: probabilities, utilities and game
 values are `fractions.Fraction`, and stage games are solved in integers.
@@ -24,6 +25,10 @@ from typing import Mapping, NamedTuple, Sequence, Union
 MAX_PLAYERS = 20
 
 RationalLike = Union[Fraction, int, str]
+
+#: Largest decimal exponent magnitude a rational may be written with;
+#: ``Fraction`` builds 10**exponent before any range check can run.
+_MAX_EXPONENT = 100_000
 
 
 class GameModelError(Exception):
@@ -69,7 +74,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     Strings may be fractions ("2/3"), integers ("4"), or decimal literals
     ("0.5", parsed exactly as 1/2).  Binary floats are refused: they would
     smuggle rounding into an otherwise exact pipeline.  Spell the value as a
-    string instead.
+    string instead.  A decimal exponent beyond 100,000 in magnitude ("1e100001")
+    is refused before the number is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -78,8 +84,16 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        # Seven digits already exceed the limit; int() refuses over 4,300.
+        if exponent.isdecimal() and (len(exponent) > 6 or int(exponent) > _MAX_EXPONENT):
+            raise ValidationError(
+                f"cannot parse rational from {value!r}: exponent beyond {_MAX_EXPONENT}",
+                "PARSE",
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational from {value!r}", "PARSE") from exc
     raise ValidationError(
@@ -223,11 +237,14 @@ def utility_um(rounds: int) -> UtilityTable:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A full contest: round count, strength matrix, utility table."""
+    """A full contest: round count, strength matrix, utility table; validated when built."""
 
     rounds: int
     strength: StrengthMatrix
     utility: UtilityTable
+
+    def __post_init__(self) -> None:
+        validate_spec(self)
 
     @property
     def team1_size(self) -> int:
@@ -281,6 +298,7 @@ def _check_roster(rounds: int, m: int, n: int) -> None:
 def validate_spec(spec: GameSpec) -> GameSpec:
     """Check every structural invariant and return the spec unchanged.
 
+    Every `GameSpec` runs this when it is built, so callers need not.
     Idempotent.  Raises ValidationError with code RANGE (probability outside
     [0,1]), SIZE (round/player count trouble) or SHAPE (utility table length).
     The antisymmetry of the utility table is reported via
@@ -396,9 +414,9 @@ def spec_from_document(doc: Mapping) -> GameSpec:
 
 def loads_spec(text: str) -> GameSpec:
     """Parse a UTF-8 JSON spec document; decimal literals stay exact."""
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+    try:  # JSONDecodeError, an integer too long to parse, or arrays nested too deep
+        doc = json.loads(text, parse_float=parse_rational)
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}", "PARSE") from exc
     return spec_from_document(doc)
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GameSpec, HistoryClassKey, ValidationError, validate_spec
+from .model import GameSpec, HistoryClassKey, ValidationError
 from .solver import Strategy, _distribution_at
 
 
@@ -44,7 +44,6 @@ def simulate_competitions(
     seed: int,
 ) -> SimulationEstimate:
     """Play ``samples`` independent contests and summarize Team-1 utility."""
-    validate_spec(spec)
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}", "SIZE")
     # The variance sums squared utilities in floats; that sum must stay finite.

@@ -34,7 +34,6 @@ from .model import (
     ValidationError,
     player_label,
     unplayed,
-    validate_spec,
 )
 
 _ZERO = Fraction(0)
@@ -157,7 +156,6 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     Deterministic: class iteration order and every stage-game pivot are
     fixed, so identical specs produce identical tables.
     """
-    validate_spec(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     total = class_count(m, n, rounds)
     if total > class_budget:
@@ -199,7 +197,6 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
 
 def uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     """Pick uniformly among the team's unused players at every class."""
-    validate_spec(spec)
     _require_team(team)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     own_size = m if team == 1 else n
@@ -272,7 +269,6 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
     opponent plays arbitrarily; raises CoverageError if the fixed strategy is
     silent or invalid at any such class.
     """
-    validate_spec(spec)
     _require_team(fixed.team)
     strength = spec.strength.entries
     utility = spec.utility.values
@@ -340,7 +336,6 @@ def matching_distribution(
     holds the Team-2 player matched with Team-1 player i; probabilities are
     marginalized over match outcomes and sum to one.
     """
-    validate_spec(spec)
     _require_no_spares(spec)
     result: dict[tuple[int, ...], Fraction] = {}
     for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
@@ -357,7 +352,6 @@ def meeting_probabilities(
     Entry (i, j) is the chance Team 1's player i and Team 2's player j meet
     at some point of the contest under the two strategies.
     """
-    validate_spec(spec)
     grid = [[_ZERO] * spec.team2_size for _ in range(spec.team1_size)]
     for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
         for i, j in pairs:
@@ -377,7 +371,6 @@ def enumerate_pure_strategies(
     BudgetExceeded on the first ``next()`` when more than ``budget``
     strategies exist, before any strategy is yielded.
     """
-    validate_spec(spec)
     _require_team(team)
     rounds = spec.rounds
     own_size = spec.team1_size if team == 1 else spec.team2_size
@@ -429,7 +422,6 @@ def max_meeting_probability(spec: GameSpec, row_player: int, col_player: int) ->
     mixed alike: win counts carry no information about the meeting event, so
     conditioning on them cannot help.
     """
-    validate_spec(spec)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if not (0 <= row_player < m and 0 <= col_player < n):
         raise ValidationError("player index out of range", "INDEX")

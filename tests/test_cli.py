@@ -76,6 +76,23 @@ class TestSolveCommand:
         assert out == ""
         assert "error[PARSE]" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
+    @pytest.mark.parametrize("cell", ['"1e100001"', "1e100001"], ids=["string", "literal"])
+    def test_huge_exponent_exits_2(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.json"
+        path.write_text('{"T": 1, "P": [["1"]], "U": [0, ' + cell + "]}")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error[PARSE]" in err
+
     def test_utility_with_spec_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(document_from_spec(named_instance("ex1"))))

@@ -73,6 +73,16 @@ class TestGenerateInstance:
         with pytest.raises(ValidationError):
             SearchConfig(seed=1, instances=1, utility="XX").validate()
 
+    def test_size_range_past_player_limit_rejected_before_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a roster")
+
+        monkeypatch.setattr(explorer, "random_strength_rows", refuse)
+        monkeypatch.setattr(explorer, "_permutation_pattern_rows", refuse)
+        with pytest.raises(ValidationError) as info:
+            generate_instance(SearchConfig(seed=0, instances=1, m_range=(2, 400)), 0)
+        assert info.value.code == "SIZE"
+
     def test_negative_recruit_cap(self):
         with pytest.raises(ValidationError) as info:
             SearchConfig(seed=1, instances=1, max_recruits=-1).validate()

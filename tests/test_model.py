@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +23,7 @@ from teamcomp.model import (
     utility_um,
     validate_spec,
 )
-from teamcomp.instances import named_instance
+from teamcomp.instances import card_game, named_instance
 
 
 class TestParseRational:
@@ -53,6 +56,14 @@ class TestParseRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValidationError):
             parse_rational("1/0")
+
+    def test_exponent_limit(self):
+        assert parse_rational("1e100000") == 10**100000
+        assert parse_rational("1E-1_00_000") == Fraction(1, 10**100000)
+        for text in ("1e100001", "1e-100001", "2.5e+0100001", "1e" + "9" * 5000):
+            with pytest.raises(ValidationError) as err:
+                parse_rational(text)
+            assert err.value.code == "PARSE"
 
     @given(st.fractions(min_value=-5, max_value=5, max_denominator=30))
     def test_round_trip_through_string(self, q):
@@ -127,38 +138,56 @@ class TestValidateSpec:
         assert spec.utility.antisymmetric
 
     def test_range_error(self):
-        spec = make_spec(2, [[1, 0], [0, 2]], "UE")
         with pytest.raises(ValidationError) as err:
-            validate_spec(spec)
+            make_spec(2, [[1, 0], [0, 2]], "UE")
         assert err.value.code == "RANGE"
 
     def test_size_error_too_few_players(self):
-        spec = make_spec(3, [[1, 0], [0, 1]], utility_ue(3))
         with pytest.raises(ValidationError) as err:
-            validate_spec(spec)
+            make_spec(3, [[1, 0], [0, 1]], utility_ue(3))
         assert err.value.code == "SIZE"
 
     def test_size_error_round_count(self):
-        spec = GameSpec(0, StrengthMatrix.from_rows([[1]]), utility_ue(1))
         with pytest.raises(ValidationError) as err:
-            validate_spec(spec)
+            GameSpec(0, StrengthMatrix.from_rows([[1]]), utility_ue(1))
         assert err.value.code == "SIZE"
 
     def test_size_error_max_players(self):
         rows = [[0] * (MAX_PLAYERS + 1) for _ in range(2)]
-        spec = GameSpec(2, StrengthMatrix.from_rows(rows), utility_ue(2))
         with pytest.raises(ValidationError) as err:
-            validate_spec(spec)
+            GameSpec(2, StrengthMatrix.from_rows(rows), utility_ue(2))
         assert err.value.code == "SIZE"
 
     def test_shape_error_utility_length(self):
-        spec = GameSpec(2, StrengthMatrix.from_rows([[1, 0], [0, 1]]), utility_ue(3))
         with pytest.raises(ValidationError) as err:
-            validate_spec(spec)
+            GameSpec(2, StrengthMatrix.from_rows([[1, 0], [0, 1]]), utility_ue(3))
         assert err.value.code == "SHAPE"
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(card_game(), rounds=0)
+        assert err.value.code == "SIZE"
+
+    def test_direct_construction_checks_range(self):
+        with pytest.raises(ValidationError) as err:
+            GameSpec(1, StrengthMatrix(((Fraction(2),),)), utility_ue(1))
+        assert err.value.code == "RANGE"
 
     def test_idempotent(self, ex3_um):
         assert validate_spec(validate_spec(ex3_um)) is ex3_um
+
+    def test_only_model_calls_validate_spec(self):
+        # A spec is checked where it is built; no function re-checks its input.
+        callers = []
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "validate_spec":
+                        callers.append(path.name)
+        assert "model.py" in callers  # the walk saw GameSpec.__post_init__
+        assert [name for name in callers if name != "model.py"] == []
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValidationError) as err:
