@@ -112,11 +112,19 @@ def player_label(team: int, index: int) -> str:
     return f"{'A' if team == 1 else 'B'}{index + 1}"
 
 
+def _exact(value: object) -> Fraction | int:
+    """``value`` itself when it is already exact: a Fraction or an int, not a bool."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValidationError(f"not an exact rational: {value!r}", "PARSE")
+
+
 def _parse_rows(
-    rows: Sequence[Sequence[RationalLike]], name: str
+    rows: Sequence[Sequence[RationalLike]], name: str, parse=parse_rational
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact rationals of a non-empty rectangular grid given row by row;
-    ``name`` labels the grid in error messages."""
+    ``parse`` turns each cell into one and ``name`` labels the grid in error
+    messages."""
     if not rows:
         raise ValidationError(f"{name} needs at least one row and one column", "SIZE")
     parsed: list[tuple[Fraction, ...]] = []
@@ -133,7 +141,7 @@ def _parse_rows(
         out = []
         for j, cell in enumerate(row):
             try:
-                out.append(parse_rational(cell))
+                out.append(parse(cell))
             except ValidationError as exc:
                 raise ValidationError(f"{name}[{i + 1}][{j + 1}]: {exc}", "PARSE") from exc
         parsed.append(tuple(out))
@@ -300,12 +308,16 @@ def validate_spec(spec: GameSpec) -> GameSpec:
 
     Every `GameSpec` runs this when it is built, so callers need not.
     Idempotent.  Raises ValidationError with code RANGE (probability outside
-    [0,1]), SIZE (round/player count trouble) or SHAPE (utility table length).
-    The antisymmetry of the utility table is reported via
-    ``spec.utility.antisymmetric``, never enforced.
+    [0,1]), SIZE (round/player count trouble or an empty grid), SHAPE (a
+    ragged grid or the utility table length) or PARSE (a strength or utility
+    entry that is not a Fraction or an int, as when a float reaches a directly
+    built `StrengthMatrix` or `UtilityTable`).  The antisymmetry of the
+    utility table is reported via ``spec.utility.antisymmetric``, never
+    enforced.
     """
     if spec.rounds < 1:
         raise ValidationError(f"T must be >= 1, got {spec.rounds}", "SIZE")
+    _parse_rows(spec.strength.entries, "P", _exact)
     _check_roster(spec.rounds, spec.strength.rows, spec.strength.cols)
     for i, row in enumerate(spec.strength.entries):
         for j, p in enumerate(row):
@@ -317,6 +329,11 @@ def validate_spec(spec: GameSpec) -> GameSpec:
             f"{spec.rounds + 1}",
             "SHAPE",
         )
+    for t, u in enumerate(spec.utility.values):
+        try:
+            _exact(u)
+        except ValidationError as exc:
+            raise ValidationError(f"U[{t + 1}]: {exc}", "PARSE") from exc
     return spec
 
 

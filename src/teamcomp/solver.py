@@ -6,6 +6,11 @@ rather than raw move sequences.  Levels run from the terminal round downward;
 each non-terminal class is summarized by one small zero-sum matrix game whose
 cells blend the two successor values by the match-win probability, and the
 equilibrium mixtures of those stage games assemble the behavioral strategies.
+Translates share one game: two win counts at the same played sets whose
+remaining utilities differ by a constant c have stage games that differ by c
+in every cell, so the later class takes the earlier one's strategies and its
+value plus c (von Neumann & Morgenstern).  Under UE every win count at a round
+is such a translate; under UM only the decided ones are.
 
 All class tables are computed in full, including classes no equilibrium play
 reaches, because best-response evaluation needs off-path values too.
@@ -52,7 +57,8 @@ _Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
 
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
-    """Number of history classes the solver will evaluate."""
+    """Number of history classes in the solver's value table, terminal ones
+    included; translates among them share one stage game (see ``solve``)."""
     return sum(
         comb(team1_size, k) * comb(team2_size, k) * (k + 1) for k in range(rounds + 1)
     )
@@ -174,12 +180,27 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
                 values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
 
     for k in range(rounds - 1, -1, -1):
+        # Each win count's first translate at this round and the constant
+        # between their remaining utilities; a count that is its own first
+        # gets its stage game solved.
+        sources: list[tuple[int, Fraction]] = []
+        firsts: dict[tuple[Fraction, ...], int] = {}
+        for wins in range(k + 1):
+            rest = utility[wins : wins + rounds - k + 1]
+            first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
+            sources.append((first, rest[0] - utility[first]))
         for xmask in _masks(m, k):
             row_players = unplayed(xmask, m)
             for ymask in _masks(n, k):
                 col_players = unplayed(ymask, n)
-                for wins in range(k + 1):
+                for wins, (first, shift) in enumerate(sources):
                     key = HistoryClassKey(xmask, ymask, wins)
+                    if first < wins:
+                        twin = (xmask, ymask, first)
+                        values[key] = values[twin] + shift
+                        moves1[key] = moves1[twin]
+                        moves2[key] = moves2[twin]
+                        continue
                     game = stage_matrix(spec, values, key)
                     solution = solve_matrix(game)
                     values[key] = solution.value

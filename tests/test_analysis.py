@@ -335,6 +335,12 @@ class TestTheorem4:
         assert report.values["recruits_1"] > F(-1)
         assert report.values["recruits_2"] == report.values["recruits_1"]
 
+    def test_t5_ue_sharp_count_lifts_floor(self):
+        # T-1 = 4 recruits lift ex4:5 off its floor of -5/2; 3 recruits do not.
+        spec = add_dominated(named_instance("ex4:5"), 4)
+        assert class_count(spec.team1_size, spec.team2_size, spec.rounds) == 206_911
+        assert solve(spec).root_value == F(-123, 50)
+
     def test_bad_variant(self):
         with pytest.raises(ValidationError):
             check_theorem4(3, "XX")

@@ -173,6 +173,31 @@ class TestValidateSpec:
             GameSpec(1, StrengthMatrix(((Fraction(2),),)), utility_ue(1))
         assert err.value.code == "RANGE"
 
+    @pytest.mark.parametrize(
+        "entries, code",
+        [
+            (((0.5,),), "PARSE"),  # a float would make the solve inexact
+            (((True,),), "PARSE"),
+            ((), "SIZE"),
+            (((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3),)), "SHAPE"),
+            (((Fraction(1, 2),), (Fraction(1, 3), 1)), "SHAPE"),
+        ],
+        ids=["float", "bool", "empty", "short-row", "long-row"],
+    )
+    def test_direct_construction_checks_grid(self, entries, code):
+        with pytest.raises(ValidationError) as err:
+            GameSpec(1, StrengthMatrix(entries), utility_ue(1))
+        assert err.value.code == code
+
+    def test_direct_construction_checks_utility_type(self):
+        with pytest.raises(ValidationError) as err:
+            GameSpec(1, StrengthMatrix(((Fraction(1, 2),),)), UtilityTable((-0.5, 0.5)))
+        assert err.value.code == "PARSE"
+
+    def test_direct_construction_accepts_ints(self):
+        spec = GameSpec(1, StrengthMatrix(((1,), (0,))), UtilityTable((0, 1)))
+        assert spec.team1_size == 2
+
     def test_idempotent(self, ex3_um):
         assert validate_spec(validate_spec(ex3_um)) is ex3_um
 

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from teamcomp import solver
+from teamcomp.analysis import add_dominated
+from teamcomp.instances import named_instance
 from teamcomp.matrix import solve_matrix
 from teamcomp.model import (
     BehavioralStrategy,
@@ -16,6 +19,7 @@ from teamcomp.model import (
     TerminalClassError,
     ValidationError,
     make_spec,
+    unplayed,
 )
 from teamcomp.solver import (
     class_count,
@@ -117,13 +121,44 @@ class TestSolve:
         assert len(result.value_table) == class_count(4, 3, 3)
 
     def test_bellman_consistency(self):
-        rng = random.Random("bellman")
-        spec = random_spec(rng, 2, 3, 3)
-        result = solve(spec)
-        for key in result.value_table:
-            if key.round_index < spec.rounds:
-                game = stage_matrix(spec, result.value_table, key)
-                assert result.value_table[key] == solve_matrix(game).value
+        # Classes copied from a translate included: each holds exactly what
+        # solving its own stage game returns, value and both mixtures.
+        contests = [
+            add_dominated(named_instance("ex4:4"), 2),
+            add_dominated(named_instance("ex5:5"), 2),
+            random_spec(random.Random("bellman-ue"), 3, 5, 5, bound=6, utility="UE"),
+            random_spec(random.Random("bellman-um"), 3, 5, 5, bound=6, utility="UM"),
+        ]
+        for spec in contests:
+            m, n = spec.team1_size, spec.team2_size
+            result = solve(spec)
+            for key, value in result.value_table.items():
+                if key.round_index < spec.rounds:
+                    solution = solve_matrix(stage_matrix(spec, result.value_table, key))
+                    assert value == solution.value
+                    rows = dict(zip(unplayed(key.played1, m), solution.row_strategy))
+                    cols = dict(zip(unplayed(key.played2, n), solution.col_strategy))
+                    assert result.strategy1.moves[key] == rows
+                    assert result.strategy2.moves[key] == cols
+
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    def test_translates_share_one_stage_game(self, monkeypatch, utility):
+        # Under UE every win count at a round is a translate of the first, so
+        # one stage game is solved per pair of played sets; under UM only the
+        # decided win counts are, so fewer games than decision classes.
+        spec = named_instance("ex3", utility)
+        m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+        calls = []
+        monkeypatch.setattr(
+            solver, "solve_matrix", lambda game: calls.append(game) or solve_matrix(game)
+        )
+        solve(spec)
+        pairs = sum(comb(m, k) * comb(n, k) for k in range(rounds))
+        decisions = class_count(m, n, rounds) - comb(m, rounds) * comb(n, rounds) * (rounds + 1)
+        if utility == "UE":
+            assert len(calls) == pairs
+        else:
+            assert pairs < len(calls) < decisions
 
     def test_matches_raw_history_oracle(self):
         rng = random.Random("oracle-match")
