@@ -68,27 +68,23 @@ def weaker_team1(strength: StrengthMatrix, i: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class PlayerClassification:
-    """Per-player flags plus per-team transitivity witnesses.
+    """One team's per-player flags and its strength chain.
 
-    ``order1``/``order2`` list player indices weakest-first and are only
-    meaningful when the matching transitive flag is set.
+    ``order`` lists the team's player indices weakest-first, or is None when
+    the team has no chain; the team is transitive exactly when it has one.
     """
 
-    weakest1: tuple[bool, ...]
-    dominated1: tuple[bool, ...]
-    transitive1: bool
-    order1: tuple[int, ...] | None
-    weakest2: tuple[bool, ...]
-    dominated2: tuple[bool, ...]
-    transitive2: bool
-    order2: tuple[int, ...] | None
+    weakest: tuple[bool, ...]
+    dominated: tuple[bool, ...]
+    order: tuple[int, ...] | None
+
+    @property
+    def transitive(self) -> bool:
+        return self.order is not None
 
 
-def _row_players(
-    strength: StrengthMatrix,
-) -> tuple[tuple[bool, ...], tuple[bool, ...], bool, tuple[int, ...] | None]:
-    """Weakest flags, dominated flags, transitivity and weakest-first order
-    of the row players."""
+def _row_players(strength: StrengthMatrix) -> PlayerClassification:
+    """The classification of the row players."""
     m = strength.rows
     weakest = tuple(
         all(weaker_team1(strength, i, j) for j in range(m) if j != i) for i in range(m)
@@ -98,13 +94,12 @@ def _row_players(
     # exists iff the mass-sorted order verifies (ties are identical-row
     # blocks and commute).
     order = sorted(range(m), key=lambda i: (sum(strength.row(i), _ZERO), i))
-    if all(weaker_team1(strength, a, b) for a, b in itertools.pairwise(order)):
-        return weakest, dominated, True, tuple(order)
-    return weakest, dominated, False, None
+    chained = all(weaker_team1(strength, a, b) for a, b in itertools.pairwise(order))
+    return PlayerClassification(weakest, dominated, tuple(order) if chained else None)
 
 
-def classify(spec: GameSpec) -> PlayerClassification:
-    """Exact weakest/dominated flags and transitivity per team.
+def classify(spec: GameSpec) -> tuple[PlayerClassification, PlayerClassification]:
+    """Exact weakest/dominated flags and strength chain of Team 1 and Team 2.
 
     Team 2's player j beats Team 1's player i with probability 1 - P[i][j],
     so Team 2's flags are the row-player flags of the mirror 1 - P^T.
@@ -113,7 +108,7 @@ def classify(spec: GameSpec) -> PlayerClassification:
     mirror = StrengthMatrix(
         tuple(tuple(1 - p for p in strength.col(j)) for j in range(strength.cols))
     )
-    return PlayerClassification(*_row_players(strength), *_row_players(mirror))
+    return _row_players(strength), _row_players(mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +168,10 @@ def add_dominated(spec: GameSpec, count: int) -> GameSpec:
 
 def default_recruit_cap(rounds: int, utility: str) -> int:
     """The sharp recruit count: T-1 under UE, floor(T/2) under UM."""
-    return rounds - 1 if utility.upper() == "UE" else rounds // 2
+    name = utility.strip().upper()
+    if name not in ("UE", "UM"):
+        raise ValidationError(f"utility must be UE or UM, got {utility!r}", "PARSE")
+    return rounds - 1 if name == "UE" else rounds // 2
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +190,20 @@ class GammaParams:
     ``c`` is the underlying contest scale; ``a`` counts strong diagonal pairs
     already consumed by Team-1 wins (each lowers the win threshold by one);
     ``b`` counts consumed dummy pairs.  Valid whenever c >= 1,
-    0 <= a <= ceil(c/2) and 0 <= b <= floor(c/2).
+    0 <= a <= ceil(c/2) and 0 <= b <= floor(c/2); checked when built.
     """
 
     c: int
     a: int
     b: int
 
-    def validate(self) -> "GammaParams":
+    def __post_init__(self) -> None:
         up, down = _halves(self.c)
         if self.c < 1 or not 0 <= self.a <= up or not 0 <= self.b <= down:
             raise ValidationError(
                 f"invalid threshold-game parameters c={self.c}, a={self.a}, b={self.b}",
                 "PARAMS",
             )
-        return self
 
     @property
     def rounds(self) -> int:
@@ -231,7 +228,6 @@ def gamma_game(params: GammaParams) -> GameSpec:
     are unbeatable.  Team 1 scores +1 for reaching the win threshold, else
     -1.  That table is deliberately not antisymmetric, but still zero-sum.
     """
-    params.validate()
     rounds, size = params.rounds, params.team_size
     if rounds < 1:
         raise ValidationError(
@@ -259,13 +255,17 @@ def gamma_game(params: GammaParams) -> GameSpec:
 @dataclass
 class CheckReport:
     """Machine-readable verdict: what was checked, with which parameters,
-    whether it held, any witnesses of failure, and the values involved."""
+    any witnesses of failure, and the values involved.  A report passes
+    exactly when it has no witness."""
 
     check: str
     params: dict
-    passed: bool
     witnesses: list[str] = field(default_factory=list)
     values: dict[str, Fraction] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_document(self) -> dict:
         return {
@@ -308,17 +308,15 @@ def check_theorem1(spec: GameSpec) -> CheckReport:
     return CheckReport(
         check="theorem1",
         params={"T": rounds},
-        passed=not witnesses,
         witnesses=witnesses,
         values={"root_value": result.root_value},
     )
 
 
 def _strength_order_desc(spec: GameSpec, team: int) -> list[int]:
-    cls = classify(spec)
-    transitive = cls.transitive1 if team == 1 else cls.transitive2
-    order = cls.order1 if team == 1 else cls.order2
-    if not transitive:
+    _require_team(team)
+    order = classify(spec)[team - 1].order
+    if order is None:
         raise PreconditionError(f"team {team} is not transitive")
     return list(reversed(order))  # strongest first
 
@@ -376,7 +374,6 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
     return CheckReport(
         check="theorem2",
         params={"team": team, "T": rounds},
-        passed=not witnesses,
         witnesses=witnesses,
         values=values,
     )
@@ -415,7 +412,6 @@ def check_corollary1(spec: GameSpec) -> CheckReport:
     return CheckReport(
         check="corollary1",
         params={"T": spec.rounds},
-        passed=not witnesses,
         witnesses=witnesses,
         values=values,
     )
@@ -440,7 +436,6 @@ def check_lemma2(spec: GameSpec) -> CheckReport:
     return CheckReport(
         check="lemma2",
         params={"T": rounds, "strategies_checked": count},
-        passed=not witnesses,
         witnesses=witnesses,
         values={"matching_probability": expected},
     )
@@ -500,7 +495,6 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
             "strategies_checked": strategies_checked,
             "enumeration_complete": enumerated,
         },
-        passed=not witnesses,
         witnesses=witnesses,
         values={"bound": bound, "max_meeting_probability": worst},
     )
@@ -549,7 +543,6 @@ def check_theorem3(spec: GameSpec) -> CheckReport:
             "lemma5_strategies_checked": lemma5.params["strategies_checked"],
             "lemma5_enumeration_complete": lemma5.params["enumeration_complete"],
         },
-        passed=not witnesses,
         witnesses=witnesses,
         values={
             "with_tail": with_tail,
@@ -595,7 +588,6 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     return CheckReport(
         check="theorem4",
         params={"T": rounds, "variant": variant},
-        passed=not witnesses,
         witnesses=witnesses,
         values={f"recruits_{r}": v for r, v in zip(counts, results)},
     )
@@ -651,7 +643,6 @@ def check_lemma6(c_max: int) -> CheckReport:
     return CheckReport(
         check="lemma6",
         params={"C_max": c_max},
-        passed=not witnesses,
         witnesses=witnesses,
         values={f"C{c}_a{a}_b{b}": v for (c, a, b), v in sorted(values.items())},
     )

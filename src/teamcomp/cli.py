@@ -127,21 +127,15 @@ def _cmd_best_response(args) -> int:
     return EXIT_OK
 
 
-def _team_document(team: int, weakest, dominated, transitive: bool, order) -> dict:
-    return {
-        "weakest": [player_label(team, p) for p, f in enumerate(weakest) if f],
-        "dominated": [player_label(team, p) for p, f in enumerate(dominated) if f],
-        "transitive": transitive,
-        "weakest_first": [player_label(team, p) for p in order] if order else None,
-    }
-
-
 def _cmd_classify(args) -> int:
-    cls = classify(_load_spec_arg(args))
-    doc = {
-        "team1": _team_document(1, cls.weakest1, cls.dominated1, cls.transitive1, cls.order1),
-        "team2": _team_document(2, cls.weakest2, cls.dominated2, cls.transitive2, cls.order2),
-    }
+    doc = {}
+    for team, cls in enumerate(classify(_load_spec_arg(args)), start=1):
+        doc[f"team{team}"] = {
+            "weakest": [player_label(team, p) for p, f in enumerate(cls.weakest) if f],
+            "dominated": [player_label(team, p) for p, f in enumerate(cls.dominated) if f],
+            "transitive": cls.transitive,
+            "weakest_first": [player_label(team, p) for p in cls.order] if cls.order else None,
+        }
     _emit(doc)
     return EXIT_OK
 
@@ -191,7 +185,7 @@ def _cmd_simulate(args) -> int:
             "approx_mean": estimate.mean,
             "approx_stderr": estimate.stderr,
             "exact_value": format_rational(estimate.exact_value),
-            "approx_abs_error": abs(estimate.mean - float(estimate.exact_value)),
+            "approx_abs_error": estimate.abs_error,
             "within_four_stderr": estimate.within_four_stderr,
         }
     )

@@ -38,6 +38,8 @@ _ZERO = Fraction(0)
 
 # Share of generated instances drawn as 0/1 permutation patterns.
 _STRUCTURED_SHARE = 0.25
+# Largest denominator of a generated strength entry.
+_DENOMINATOR_BOUND = 4
 
 
 @lru_cache(maxsize=None)
@@ -129,9 +131,11 @@ def _permutation_pattern_rows(
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Sweep parameters; the whole record stream is a pure function of these.
+    """Sweep parameters, checked when built; the whole record stream is a
+    pure function of these.
 
     ``m_range`` bounds both team sizes (clamped below by the round count).
+    Strength entries are drawn with denominators up to a fixed bound of 4.
     ``max_recruits`` of None means the sharp counts that are never worth
     exceeding: T-1 recruits under expected-wins scoring, floor(T/2) under
     majority scoring.
@@ -141,24 +145,20 @@ class SearchConfig:
     instances: int
     t_range: tuple[int, int] = (2, 3)
     m_range: tuple[int, int] = (2, 5)
-    denominator_bound: int = 4
     utility: str = "UM"
     max_recruits: int | None = None
 
-    def validate(self) -> "SearchConfig":
+    def __post_init__(self) -> None:
         if self.instances < 1:
             raise ValidationError("need at least one instance", "SIZE")
         if not 1 <= self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad round range {self.t_range}", "SIZE")
         if not self.m_range[0] <= self.m_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad size range {self.m_range}", "SIZE")
-        if self.denominator_bound < 1:
-            raise ValidationError("denominator bound must be >= 1", "SIZE")
         if self.utility.upper() not in ("UE", "UM"):
             raise ValidationError(f"utility must be UE or UM, got {self.utility}", "PARSE")
         if self.max_recruits is not None and self.max_recruits < 0:
             raise ValidationError(f"recruit cap must be >= 0, got {self.max_recruits}", "SIZE")
-        return self
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,6 @@ def spec_digest(spec: GameSpec) -> str:
 
 def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     """Deterministic instance number ``index`` of the configured stream."""
-    config.validate()
     if not 0 <= index < config.instances:
         raise ValidationError(f"index {index} outside 0..{config.instances - 1}", "SIZE")
     rng = random.Random(f"{config.seed}:{index}")
@@ -201,7 +200,7 @@ def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     if structured:
         rows = _permutation_pattern_rows(rng, team1_size, team2_size)
     else:
-        rows = random_strength_rows(rng, team1_size, team2_size, config.denominator_bound)
+        rows = random_strength_rows(rng, team1_size, team2_size, _DENOMINATOR_BOUND)
     return make_spec(rounds, rows, config.utility)
 
 
@@ -276,7 +275,6 @@ def sweep(config: SearchConfig) -> SweepSummary:
     counterexample candidate; it is a finding, never an error.  Instances
     whose state space blows the solve budget are recorded and skipped.
     """
-    config.validate()
     utility = config.utility.upper()
     records: list[GainRecord] = []
     skipped: list[int] = []

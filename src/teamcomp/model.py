@@ -309,12 +309,14 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     Every `GameSpec` runs this when it is built, so callers need not.
     Idempotent.  Raises ValidationError with code RANGE (probability outside
     [0,1]), SIZE (round/player count trouble or an empty grid), SHAPE (a
-    ragged grid or the utility table length) or PARSE (a strength or utility
-    entry that is not a Fraction or an int, as when a float reaches a directly
-    built `StrengthMatrix` or `UtilityTable`).  The antisymmetry of the
+    ragged grid or the utility table length) or PARSE (a T that is not an
+    int, or a strength or utility entry that is not a Fraction or an int, as
+    when a float reaches a directly built `StrengthMatrix` or `UtilityTable`).  The antisymmetry of the
     utility table is reported via ``spec.utility.antisymmetric``, never
     enforced.
     """
+    if not isinstance(spec.rounds, int) or isinstance(spec.rounds, bool):
+        raise ValidationError(f"T must be an integer, got {spec.rounds!r}", "PARSE")
     if spec.rounds < 1:
         raise ValidationError(f"T must be >= 1, got {spec.rounds}", "SIZE")
     _parse_rows(spec.strength.entries, "P", _exact)

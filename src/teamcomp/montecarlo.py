@@ -28,11 +28,14 @@ class SimulationEstimate:
     exact_value: Fraction
 
     @property
+    def abs_error(self) -> float:
+        return abs(self.mean - float(self.exact_value))
+
+    @property
     def within_four_stderr(self) -> bool:
-        gap = abs(self.mean - float(self.exact_value))
         if self.stderr == 0.0:
-            return gap == 0.0
-        return gap <= 4.0 * self.stderr
+            return self.abs_error == 0.0
+        return self.abs_error <= 4.0 * self.stderr
 
 
 def simulate_competitions(

@@ -44,57 +44,58 @@ F = Fraction
 
 class TestClassify:
     def test_ex2_flags(self, ex2_spec):
-        cls = classify(ex2_spec)
-        assert cls.dominated1 == (False, False, True)
-        assert cls.weakest1 == (False, False, True)
-        assert not cls.transitive1
+        team1, _ = classify(ex2_spec)
+        assert team1.dominated == (False, False, True)
+        assert team1.weakest == (False, False, True)
+        assert not team1.transitive
+        assert team1.order is None
 
     def test_identical_rows(self):
         spec = make_spec(2, [[0, 0], [0, 0]], "UE")
-        cls = classify(spec)
-        assert cls.transitive1
-        assert cls.weakest1 == (True, True)
-        assert cls.dominated1 == (True, True)
+        team1, _ = classify(spec)
+        assert team1.transitive
+        assert team1.weakest == (True, True)
+        assert team1.dominated == (True, True)
 
     def test_chain(self):
         spec = make_spec(2, [[1, 1], [1, 0], [0, 0]], "UE")
-        cls = classify(spec)
-        assert cls.transitive1
-        assert cls.order1 == (2, 1, 0)  # weakest first
-        assert cls.weakest1 == (False, False, True)
-        assert cls.dominated1 == (False, False, True)
+        team1, _ = classify(spec)
+        assert team1.transitive
+        assert team1.order == (2, 1, 0)  # weakest first
+        assert team1.weakest == (False, False, True)
+        assert team1.dominated == (False, False, True)
 
     def test_team2_dominated_is_all_ones_column(self):
         spec = make_spec(2, [[1, 0, 1], [1, 1, 0]], "UE")
-        cls = classify(spec)
-        assert cls.dominated2 == (True, False, False)
+        _, team2 = classify(spec)
+        assert team2.dominated == (True, False, False)
 
     def test_team2_chain(self):
         # Columns weakest-first: B1 loses every match, then B3, then B2.
         spec = make_spec(2, [[1, 0, F(1, 2)], [1, F(1, 2), F(1, 2)], [1, 0, 0]], "UE")
-        cls = classify(spec)
-        assert cls.weakest2 == (True, False, False)
-        assert cls.dominated2 == (True, False, False)
-        assert cls.transitive2
-        assert cls.order2 == (0, 2, 1)
+        _, team2 = classify(spec)
+        assert team2.weakest == (True, False, False)
+        assert team2.dominated == (True, False, False)
+        assert team2.transitive
+        assert team2.order == (0, 2, 1)
 
     def test_team2_tied_columns(self):
         # B2 and B3 are identical always-losing columns; the tie keeps index
         # order and both are weakest.
         spec = make_spec(2, [[0, 1, 1], [F(1, 2), 1, 1]], "UE")
-        cls = classify(spec)
-        assert cls.weakest2 == (False, True, True)
-        assert cls.dominated2 == (False, True, True)
-        assert cls.transitive2
-        assert cls.order2 == (1, 2, 0)
+        _, team2 = classify(spec)
+        assert team2.weakest == (False, True, True)
+        assert team2.dominated == (False, True, True)
+        assert team2.transitive
+        assert team2.order == (1, 2, 0)
 
     def test_team2_incomparable_columns(self):
         spec = make_spec(2, [[1, 0], [0, 1]], "UE")
-        cls = classify(spec)
-        assert cls.weakest2 == (False, False)
-        assert cls.dominated2 == (False, False)
-        assert not cls.transitive2
-        assert cls.order2 is None
+        _, team2 = classify(spec)
+        assert team2.weakest == (False, False)
+        assert team2.dominated == (False, False)
+        assert not team2.transitive
+        assert team2.order is None
 
     def test_mutually_weaker_rows_are_identical(self):
         rng = random.Random("weaker")
@@ -112,9 +113,9 @@ class TestClassify:
             [list(ex2_spec.strength.row(i)) for i in (2, 0, 1)],
             ex2_spec.utility,
         )
-        cls = classify(permuted)
-        assert cls.dominated1 == (True, False, False)
-        assert not cls.transitive1
+        team1, _ = classify(permuted)
+        assert team1.dominated == (True, False, False)
+        assert not team1.transitive
 
 
 class TestRosterSurgery:
@@ -264,7 +265,7 @@ class TestTheorem2:
     def test_top_block_strategy_support(self):
         rng = random.Random("top-block")
         spec = random_transitive_spec(rng, 2, 4, 2, 6, "UE")
-        strongest_two = set(classify(spec).order1[::-1][:2])
+        strongest_two = set(classify(spec)[0].order[::-1][:2])
         strategy = top_block_uniform_strategy(spec, 1)
         for dist in strategy.moves.values():
             assert set(dist) <= strongest_two
@@ -273,6 +274,18 @@ class TestTheorem2:
     def test_nontransitive_precondition(self, ex2_spec):
         with pytest.raises(PreconditionError):
             check_theorem2(ex2_spec, 1)
+
+    @pytest.mark.parametrize("team", [0, 3])
+    def test_missing_team_rejected_before_solving(self, team, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(analysis, "solve", refuse)
+        spec = random_transitive_spec(random.Random(1), 2, 2, 2, 6, "UE")
+        for call in (check_theorem2, top_block_uniform_strategy):
+            with pytest.raises(ValidationError) as err:
+                call(spec, team)
+            assert err.value.code == "PARSE"
 
     def test_nonmonotone_precondition(self):
         spec = make_spec(2, [[1, 1], [1, 0], [0, 0]], ["1", "0", "1"])

@@ -359,7 +359,7 @@ class TestExitCodes:
         from teamcomp.analysis import CheckReport
 
         def stub_suite(args):
-            report = CheckReport("stub", {}, passed=False, witnesses=["forced"])
+            report = CheckReport("stub", {}, witnesses=["forced"])
             return [cli._entry("stub[0]", report)]
 
         monkeypatch.setitem(cli._SUITES, "lemma6", stub_suite)

@@ -49,12 +49,6 @@ class TestGenerateInstance:
         large = SearchConfig(seed=1, instances=50)
         assert generate_instance(small, 3) == generate_instance(large, 3)
 
-    def test_denominator_bound_one_gives_binary_entries(self):
-        config = SearchConfig(seed=2, instances=40, denominator_bound=1)
-        for index in range(40):
-            spec = generate_instance(config, index)
-            assert all(p in (0, 1) for row in spec.strength.entries for p in row)
-
     def test_outputs_validate(self):
         config = SearchConfig(seed=3, instances=25, t_range=(2, 4), m_range=(2, 6))
         for index in range(25):
@@ -67,11 +61,11 @@ class TestGenerateInstance:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            SearchConfig(seed=1, instances=0).validate()
+            SearchConfig(seed=1, instances=0)
         with pytest.raises(ValidationError):
-            SearchConfig(seed=1, instances=1, t_range=(3, 2)).validate()
+            SearchConfig(seed=1, instances=1, t_range=(3, 2))
         with pytest.raises(ValidationError):
-            SearchConfig(seed=1, instances=1, utility="XX").validate()
+            SearchConfig(seed=1, instances=1, utility="XX")
 
     def test_size_range_past_player_limit_rejected_before_drawing(self, monkeypatch):
         def refuse(*args):
@@ -85,9 +79,9 @@ class TestGenerateInstance:
 
     def test_negative_recruit_cap(self):
         with pytest.raises(ValidationError) as info:
-            SearchConfig(seed=1, instances=1, max_recruits=-1).validate()
+            SearchConfig(seed=1, instances=1, max_recruits=-1)
         assert info.value.code == "SIZE"
-        assert SearchConfig(seed=1, instances=1, max_recruits=0).validate().max_recruits == 0
+        assert SearchConfig(seed=1, instances=1, max_recruits=0).max_recruits == 0
 
 
 class TestMaxGain:
@@ -184,6 +178,13 @@ class TestSweep:
         assert default_recruit_cap(4, "UE") == 3
         assert default_recruit_cap(4, "UM") == 2
         assert default_recruit_cap(3, "UM") == 1
+        assert default_recruit_cap(4, " ue ") == 3
+
+    def test_default_cap_rejects_unknown_utility(self):
+        for name in ("bogus", "", "U E"):
+            with pytest.raises(ValidationError) as info:
+                default_recruit_cap(4, name)
+            assert info.value.code == "PARSE"
 
 
 class TestGeneratorHelpers:
@@ -193,8 +194,7 @@ class TestGeneratorHelpers:
         rng = random.Random("trans-gen")
         for _ in range(10):
             spec = random_transitive_spec(rng, 2, 4, 5, 6, "UE")
-            cls = classify(spec)
-            assert cls.transitive1 and cls.transitive2
+            assert all(team.transitive for team in classify(spec))
 
     def test_weak_tail_generator_structure(self):
         from teamcomp.analysis import weaker_team1

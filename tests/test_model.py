@@ -194,6 +194,14 @@ class TestValidateSpec:
             GameSpec(1, StrengthMatrix(((Fraction(1, 2),),)), UtilityTable((-0.5, 0.5)))
         assert err.value.code == "PARSE"
 
+    @pytest.mark.parametrize("rounds", [2.0, True], ids=["float", "bool"])
+    def test_direct_construction_checks_round_type(self, rounds):
+        # A bool would solve as T=1 and a float would fail deep in the solver.
+        strength = StrengthMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+        with pytest.raises(ValidationError) as err:
+            GameSpec(rounds, strength, utility_ue(2))
+        assert err.value.code == "PARSE"
+
     def test_direct_construction_accepts_ints(self):
         spec = GameSpec(1, StrengthMatrix(((1,), (0,))), UtilityTable((0, 1)))
         assert spec.team1_size == 2
@@ -213,6 +221,16 @@ class TestValidateSpec:
                         callers.append(path.name)
         assert "model.py" in callers  # the walk saw GameSpec.__post_init__
         assert [name for name in callers if name != "model.py"] == []
+
+    def test_only_montecarlo_makes_floats(self):
+        # Floats appear only in the Monte Carlo cross-check.
+        callers = []
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "float":
+                    callers.append(path.name)
+        assert "montecarlo.py" in callers
+        assert [name for name in callers if name != "montecarlo.py"] == []
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValidationError) as err:
