@@ -27,15 +27,17 @@ from .model import (
     BudgetExceeded,
     GameSpec,
     HistoryClassKey,
-    MAX_PLAYERS,
     PreconditionError,
     ROOT_CLASS,
     StrengthMatrix,
     UtilityTable,
     ValidationError,
+    _check_roster,
+    _whole,
     format_rational,
     player_label,
     unplayed,
+    utility_name,
     utility_ue,
 )
 from .solver import (
@@ -152,15 +154,9 @@ def abandonment_delta(spec: GameSpec, team: int, players: Sequence[int]) -> Frac
 
 def add_dominated(spec: GameSpec, count: int) -> GameSpec:
     """Recruit ``count`` players for Team 1 that lose every match."""
-    if count < 0:
-        raise ValidationError(f"recruit count must be >= 0, got {count}", "SIZE")
-    if count == 0:
+    if _whole(count, "recruit count", 0) == 0:
         return spec
-    if spec.team1_size + count > MAX_PLAYERS:
-        raise ValidationError(
-            f"{spec.team1_size} + {count} players exceed the {MAX_PLAYERS}-player limit",
-            "SIZE",
-        )
+    _check_roster(spec.rounds, spec.team1_size + count, spec.team2_size)
     zero_row = tuple([_ZERO] * spec.team2_size)
     rows = spec.strength.entries + tuple([zero_row] * count)
     return GameSpec(spec.rounds, StrengthMatrix(rows), spec.utility)
@@ -168,10 +164,7 @@ def add_dominated(spec: GameSpec, count: int) -> GameSpec:
 
 def default_recruit_cap(rounds: int, utility: str) -> int:
     """The sharp recruit count: T-1 under UE, floor(T/2) under UM."""
-    name = utility.strip().upper()
-    if name not in ("UE", "UM"):
-        raise ValidationError(f"utility must be UE or UM, got {utility!r}", "PARSE")
-    return rounds - 1 if name == "UE" else rounds // 2
+    return rounds - 1 if utility_name(utility) == "UE" else rounds // 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +227,7 @@ def gamma_game(params: GammaParams) -> GameSpec:
             f"parameters c={params.c}, a={params.a}, b={params.b} leave no rounds to play",
             "PARAMS",
         )
-    if size > MAX_PLAYERS:
-        raise ValidationError(
-            f"team sizes {size}x{size} exceed the {MAX_PLAYERS}-player limit", "SIZE"
-        )
+    _check_roster(rounds, size, size)
     strong = params.c - params.a
     entries = tuple(
         tuple(_ONE if i == j and i < strong else _ZERO for j in range(size))
@@ -560,9 +550,7 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     Majority variant: with floor(T/2)-1 recruits the team is pinned at -1,
     one more strictly improves, and another adds nothing.
     """
-    variant = variant.strip().upper()
-    if variant not in ("UE", "UM"):
-        raise ValidationError(f"variant must be UE or UM, got {variant!r}", "PARSE")
+    variant = utility_name(variant)
     if rounds < 2:
         raise PreconditionError("needs at least two rounds")
     if variant == "UE":
@@ -601,8 +589,7 @@ def check_lemma6(c_max: int) -> CheckReport:
     (strong pair consumed / dummy pair consumed), and that the value never
     drops when the threshold loosens.
     """
-    if c_max < 1:
-        raise ValidationError(f"c_max must be >= 1, got {c_max}", "SIZE")
+    _whole(c_max, "c_max", 1)
     values: dict[tuple[int, int, int], Fraction] = {}
     roots: dict[tuple[int, int, int], SolveResult] = {}
     witnesses: list[str] = []

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import analysis, explorer
@@ -265,7 +266,7 @@ def _suite_theorem3(args) -> list[dict]:
 
 
 def _suite_theorem4(args) -> list[dict]:
-    variants = [args.utility.upper()] if args.utility else ["UE", "UM"]
+    variants = [args.utility] if args.utility else ["UE", "UM"]
     return [
         _entry(f"theorem4[T={rounds},{variant}]", check_theorem4(rounds, variant))
         for rounds in _rounds_pool(args, [2, 3, 4])
@@ -331,9 +332,10 @@ def _cmd_sweep(args) -> int:
         utility=args.utility or "UM",
         max_recruits=args.max_recruits,
     )
-    summary = explorer.sweep(config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # --out is opened first, so a path that cannot be written fails before the sweep runs.
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as handle:
+        summary = explorer.sweep(config)
+        if args.out:
             handle.write(explorer.records_to_csv(summary.records))
     _emit(summary.to_document())
     return EXIT_OK

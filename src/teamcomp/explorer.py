@@ -28,9 +28,11 @@ from .model import (
     GameSpec,
     MAX_PLAYERS,
     ValidationError,
+    _whole,
     document_from_spec,
     format_rational,
     make_spec,
+    utility_name,
 )
 from .solver import solve
 
@@ -46,8 +48,7 @@ _DENOMINATOR_BOUND = 4
 def rationals_up_to_denominator(bound: int) -> tuple[Fraction, ...]:
     """All distinct rationals in [0, 1] with denominator at most ``bound``,
     ascending."""
-    if bound < 1:
-        raise ValidationError(f"denominator bound must be >= 1, got {bound}", "SIZE")
+    _whole(bound, "denominator bound", 1)
     values = {Fraction(num, den) for den in range(1, bound + 1) for num in range(den + 1)}
     return tuple(sorted(values))
 
@@ -138,7 +139,8 @@ class SearchConfig:
     Strength entries are drawn with denominators up to a fixed bound of 4.
     ``max_recruits`` of None means the sharp counts that are never worth
     exceeding: T-1 recruits under expected-wins scoring, floor(T/2) under
-    majority scoring.
+    majority scoring.  ``utility`` is stored in its canonical form, "UE" or
+    "UM", whatever its spelling when given.
     """
 
     seed: int
@@ -149,16 +151,16 @@ class SearchConfig:
     max_recruits: int | None = None
 
     def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ValidationError("need at least one instance", "SIZE")
-        if not 1 <= self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
+        _whole(self.instances, "instances", 1)
+        for end in (*self.t_range, *self.m_range):
+            _whole(end, "range end", 1)
+        if not self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad round range {self.t_range}", "SIZE")
         if not self.m_range[0] <= self.m_range[1] <= MAX_PLAYERS:
             raise ValidationError(f"bad size range {self.m_range}", "SIZE")
-        if self.utility.upper() not in ("UE", "UM"):
-            raise ValidationError(f"utility must be UE or UM, got {self.utility}", "PARSE")
-        if self.max_recruits is not None and self.max_recruits < 0:
-            raise ValidationError(f"recruit cap must be >= 0, got {self.max_recruits}", "SIZE")
+        object.__setattr__(self, "utility", utility_name(self.utility))  # the class is frozen
+        if self.max_recruits is not None:
+            _whole(self.max_recruits, "recruit cap", 0)
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ class SweepSummary:
         return {
             "seed": self.config.seed,
             "instances": self.config.instances,
-            "utility": self.config.utility.upper(),
+            "utility": self.config.utility,
             "max_gain": format_rational(self.max_gain),
             "conjectured_bound": format_rational(self.bound),
             "status": status,
@@ -275,7 +277,7 @@ def sweep(config: SearchConfig) -> SweepSummary:
     counterexample candidate; it is a finding, never an error.  Instances
     whose state space blows the solve budget are recorded and skipped.
     """
-    utility = config.utility.upper()
+    utility = config.utility
     records: list[GainRecord] = []
     skipped: list[int] = []
     for index in range(config.instances):

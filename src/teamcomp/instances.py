@@ -8,7 +8,7 @@ scalable identity-ladder families used for the recruiting analysis.
 
 from __future__ import annotations
 
-from .model import MAX_PLAYERS, GameSpec, ValidationError, make_spec
+from .model import GameSpec, ValidationError, _check_roster, _whole, make_spec
 
 
 def card_game() -> GameSpec:
@@ -42,31 +42,14 @@ def _ex3(utility: str) -> GameSpec:
     )
 
 
-def _identity_ladder(rounds: int, extra_cols: int, utility: str) -> GameSpec:
-    cols = rounds + extra_cols
-    if cols > MAX_PLAYERS:
-        raise ValidationError(
-            f"team sizes {rounds}x{cols} exceed the {MAX_PLAYERS}-player limit", "SIZE"
-        )
+def _identity_ladder(rounds: int, utility: str) -> GameSpec:
+    # Identity ladder with T-1 (ex4, expected-wins scoring) or floor(T/2)
+    # (ex5, majority scoring) unbeatable opposing spares.  The stock roster is
+    # pinned at the floor until it recruits enough always-losing decoys.
+    cols = rounds + (rounds - 1 if utility == "UE" else rounds // 2)
+    _check_roster(_whole(rounds, "T", 1), rounds, cols)
     rows = [[1 if i == j else 0 for j in range(cols)] for i in range(rounds)]
     return make_spec(rounds, rows, utility)
-
-
-def _ex4(rounds: int) -> GameSpec:
-    # Identity ladder with T-1 unbeatable opposing spares; expected-wins
-    # scoring.  The stock roster is pinned at the floor until it recruits
-    # enough always-losing decoys.
-    if rounds < 1:
-        raise ValidationError(f"ex4 needs T >= 1, got {rounds}", "SIZE")
-    return _identity_ladder(rounds, rounds - 1, "UE")
-
-
-def _ex5(rounds: int) -> GameSpec:
-    # Identity ladder with floor(T/2) unbeatable opposing spares; majority
-    # scoring.
-    if rounds < 1:
-        raise ValidationError(f"ex5 needs T >= 1, got {rounds}", "SIZE")
-    return _identity_ladder(rounds, rounds // 2, "UM")
 
 
 EXAMPLE_NAMES = ("card", "ex1", "ex2", "ex3", "ex4:T", "ex5:T")
@@ -96,7 +79,7 @@ def named_instance(name: str, utility: str | None = None) -> GameSpec:
             rounds = int(tail)
         except ValueError:
             raise ValidationError(f"bad round count in example name {name!r}", "PARSE")
-        return _ex4(rounds) if head == "ex4" else _ex5(rounds)
+        return _identity_ladder(rounds, "UE" if head == "ex4" else "UM")
     raise ValidationError(
         f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}", "PARSE"
     )

@@ -112,6 +112,32 @@ def player_label(team: int, index: int) -> str:
     return f"{'A' if team == 1 else 'B'}{index + 1}"
 
 
+def _whole(value: object, name: str, least: int) -> int:
+    """``value`` itself when it is an int (not a bool) of at least ``least``.
+
+    The one whole-number rule for round, recruit, instance and sample counts
+    and the like: PARSE for any other type, SIZE below ``least``; ``name``
+    labels the value in the message.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}", "PARSE")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}", "SIZE")
+    return value
+
+
+def utility_name(name: object) -> str:
+    """The scoring rule a name spells: "UE" (expected wins) or "UM" (majority).
+
+    Any letter case and surrounding blanks are accepted; anything but a str
+    naming one of the two rules raises PARSE.
+    """
+    canonical = name.strip().upper() if isinstance(name, str) else None
+    if canonical not in ("UE", "UM"):
+        raise ValidationError(f"utility must be UE or UM, got {name!r}", "PARSE")
+    return canonical
+
+
 def _exact(value: object) -> Fraction | int:
     """``value`` itself when it is already exact: a Fraction or an int, not a bool."""
     if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
@@ -220,18 +246,14 @@ class UtilityTable:
 
 def utility_ue(rounds: int) -> UtilityTable:
     """Expected-wins utility: winning t rounds is worth t - rounds/2."""
-    if rounds < 1:
-        raise ValidationError(f"round count must be >= 1, got {rounds}", "SIZE")
-    half = Fraction(rounds, 2)
+    half = Fraction(_whole(rounds, "T", 1), 2)
     return UtilityTable(tuple(Fraction(t) - half for t in range(rounds + 1)))
 
 
 def utility_um(rounds: int) -> UtilityTable:
     """Majority utility: +1 for winning more rounds than the opponent, 0 for a
     tie, -1 otherwise."""
-    if rounds < 1:
-        raise ValidationError(f"round count must be >= 1, got {rounds}", "SIZE")
-    half = Fraction(rounds, 2)
+    half = Fraction(_whole(rounds, "T", 1), 2)
     values = []
     for t in range(rounds + 1):
         if t > half:
@@ -271,21 +293,16 @@ def make_spec(
     """Convenience constructor; ``utility`` may be a table, "UE"/"UM", or an
     explicit sequence of rounds+1 rationals.
 
-    A named table has T+1 entries, so T is checked against the roster first.
+    A named table has T+1 entries, so T is checked (a whole number, at least
+    1, no more than either roster) before a named table is built.
     """
     strength = StrengthMatrix.from_rows(strength_rows)
     if isinstance(utility, UtilityTable):
         table = utility
     elif isinstance(utility, str):
-        name = utility.strip().upper()
-        if name in ("UE", "UM") and rounds >= 1:  # T < 1 keeps the builders' own error
-            _check_roster(rounds, strength.rows, strength.cols)
-        if name == "UE":
-            table = utility_ue(rounds)
-        elif name == "UM":
-            table = utility_um(rounds)
-        else:
-            raise ValidationError(f"unknown utility name {utility!r}", "PARSE")
+        build = utility_ue if utility_name(utility) == "UE" else utility_um
+        _check_roster(_whole(rounds, "T", 1), strength.rows, strength.cols)
+        table = build(rounds)
     else:
         table = UtilityTable.from_values(utility)
     return GameSpec(rounds, strength, table)
@@ -315,10 +332,7 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     utility table is reported via ``spec.utility.antisymmetric``, never
     enforced.
     """
-    if not isinstance(spec.rounds, int) or isinstance(spec.rounds, bool):
-        raise ValidationError(f"T must be an integer, got {spec.rounds!r}", "PARSE")
-    if spec.rounds < 1:
-        raise ValidationError(f"T must be >= 1, got {spec.rounds}", "SIZE")
+    _whole(spec.rounds, "T", 1)
     _parse_rows(spec.strength.entries, "P", _exact)
     _check_roster(spec.rounds, spec.strength.rows, spec.strength.cols)
     for i, row in enumerate(spec.strength.entries):

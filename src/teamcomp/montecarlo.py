@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GameSpec, HistoryClassKey, ValidationError
+from .model import GameSpec, HistoryClassKey, ValidationError, _whole
 from .solver import Strategy, _distribution_at
 
 
@@ -47,8 +47,7 @@ def simulate_competitions(
     seed: int,
 ) -> SimulationEstimate:
     """Play ``samples`` independent contests and summarize Team-1 utility."""
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}", "SIZE")
+    _whole(samples, "samples", 1)
     # The variance sums squared utilities in floats; that sum must stay finite.
     if any(u * u * samples > sys.float_info.max for u in spec.utility.values):
         raise ValidationError("utility values too large to sample in floats", "RANGE")

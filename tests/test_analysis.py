@@ -168,6 +168,12 @@ class TestRosterSurgery:
         with pytest.raises(ValidationError):
             add_dominated(base, 100)
 
+    @pytest.mark.parametrize("count", [1.5, True], ids=["float", "bool"])
+    def test_add_dominated_count_type(self, card_spec, count):
+        with pytest.raises(ValidationError) as err:
+            add_dominated(card_spec, count)
+        assert err.value.code == "PARSE"
+
     def test_ladder_over_player_limit(self):
         with pytest.raises(ValidationError) as err:
             named_instance("ex4:21")
@@ -412,6 +418,11 @@ class TestLemmas:
             a = ceil(c / 2)
             for b in range(floor(c / 2) + 1):
                 assert report.values[f"C{c}_a{a}_b{b}"] == F(1)
+
+    def test_lemma6_grid_size_type(self):
+        with pytest.raises(ValidationError) as err:
+            check_lemma6(2.0)
+        assert err.value.code == "PARSE"
 
 
 class TestReports:

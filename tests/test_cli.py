@@ -368,12 +368,18 @@ class TestExitCodes:
         assert json.loads(out)["pass"] is False
 
     def test_cross_process_determinism(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import teamcomp
+
+        # The children import the same teamcomp this process imported.
+        env = {**os.environ, "PYTHONPATH": str(Path(teamcomp.__file__).parent.parent)}
         args = [sys.executable, "-m", "teamcomp", "solve", "--example", "card", "--full"]
-        first = subprocess.run(args, capture_output=True, check=True)
-        second = subprocess.run(args, capture_output=True, check=True)
+        first = subprocess.run(args, capture_output=True, check=True, env=env)
+        second = subprocess.run(args, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
 
 
@@ -408,6 +414,17 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert "error[SIZE]" in err
+
+    def test_sweep_unwritable_out_fails_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(explorer, "sweep", refuse)
+        out_path = tmp_path / "missing" / "records.csv"
+        code, out, err = run_cli(capsys, "sweep", "--instances", "100", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "error[IO]" in err
 
     def test_sweep_negative_recruits_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--instances", "1", "--max-recruits", "-1")

@@ -83,6 +83,29 @@ class TestGenerateInstance:
         assert info.value.code == "SIZE"
         assert SearchConfig(seed=1, instances=1, max_recruits=0).max_recruits == 0
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"utility": 5},
+            {"instances": 2.5},
+            {"t_range": (2, 3.0)},
+            {"m_range": (2.5, 4)},
+            {"max_recruits": True},
+        ],
+        ids=["utility", "instances", "t_range", "m_range", "max_recruits"],
+    )
+    def test_config_types(self, fields):
+        with pytest.raises(ValidationError) as info:
+            SearchConfig(**{"seed": 0, "instances": 2, **fields})
+        assert info.value.code == "PARSE"
+
+    def test_config_stores_canonical_utility(self):
+        config = SearchConfig(seed=0, instances=1, utility=" ue")
+        assert config.utility == "UE"
+        summary = sweep(config)
+        assert summary.bound == 1
+        assert summary.to_document()["utility"] == "UE"
+
 
 class TestMaxGain:
     def test_identity_family_gain(self, ex3_um):

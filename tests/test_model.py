@@ -19,6 +19,7 @@ from teamcomp.model import (
     make_spec,
     parse_rational,
     spec_from_document,
+    utility_name,
     utility_ue,
     utility_um,
     validate_spec,
@@ -106,6 +107,22 @@ class TestUtilityTables:
             utility_ue(0)
         with pytest.raises(ValidationError):
             utility_um(0)
+
+    def test_round_type_error(self):
+        for build in (utility_ue, utility_um):
+            with pytest.raises(ValidationError) as err:
+                build(2.0)
+            assert err.value.code == "PARSE"
+
+    @pytest.mark.parametrize("name", ["UE", "ue", " Um ", "\tUM\n"])
+    def test_utility_name_canonical(self, name):
+        assert utility_name(name) == name.strip().upper()
+
+    @pytest.mark.parametrize("name", ["", "U E", "UX", "expected", 5, None, b"UE"])
+    def test_utility_name_rejects(self, name):
+        with pytest.raises(ValidationError) as err:
+            utility_name(name)
+        assert err.value.code == "PARSE"
 
     def test_threshold_table_not_antisymmetric(self):
         table = UtilityTable.from_values([-1, -1, 1, 1, 1])
@@ -202,6 +219,14 @@ class TestValidateSpec:
             GameSpec(rounds, strength, utility_ue(2))
         assert err.value.code == "PARSE"
 
+    @pytest.mark.parametrize("rounds", [2.0, "2", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    def test_named_table_checks_round_type(self, rounds, utility):
+        # T is checked before the named table is built from it.
+        with pytest.raises(ValidationError) as err:
+            make_spec(rounds, [[1, 0], [0, 1]], utility)
+        assert err.value.code == "PARSE"
+
     def test_direct_construction_accepts_ints(self):
         spec = GameSpec(1, StrengthMatrix(((1,), (0,))), UtilityTable((0, 1)))
         assert spec.team1_size == 2
@@ -221,6 +246,22 @@ class TestValidateSpec:
                         callers.append(path.name)
         assert "model.py" in callers  # the walk saw GameSpec.__post_init__
         assert [name for name in callers if name != "model.py"] == []
+
+    def test_only_model_spells_the_contest_rules(self):
+        # The whole-number rule (no bools) and the UE/UM name rule live in model.
+        callers = []
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "upper":
+                    callers.append((path.name, "upper"))
+                if getattr(node.func, "id", "") == "isinstance" and any(
+                    isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[-1])
+                ):
+                    callers.append((path.name, "bool"))
+        assert {("model.py", "upper"), ("model.py", "bool")} <= set(callers)
+        assert [call for call in callers if call[0] != "model.py"] == []
 
     def test_only_montecarlo_makes_floats(self):
         # Floats appear only in the Monte Carlo cross-check.

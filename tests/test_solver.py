@@ -499,3 +499,11 @@ class TestSimulation:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_sample_count_type(self, card_spec):
+        result = solve(card_spec)
+        with pytest.raises(ValidationError) as err:
+            simulate_competitions(
+                card_spec, result.strategy1, result.strategy2, result.root_value, 10.0, 0
+            )
+        assert err.value.code == "PARSE"
