@@ -33,6 +33,7 @@ from .model import (
     UtilityTable,
     ValidationError,
     _check_roster,
+    _team,
     _whole,
     format_rational,
     player_label,
@@ -44,7 +45,6 @@ from .solver import (
     DEFAULT_ENUM_BUDGET,
     SolveResult,
     _require_no_spares,
-    _require_team,
     enumerate_pure_strategies,
     evaluate_fixed,
     matching_distribution,
@@ -119,8 +119,7 @@ def classify(spec: GameSpec) -> tuple[PlayerClassification, PlayerClassification
 
 def abandon(spec: GameSpec, team: int, players: Sequence[int]) -> GameSpec:
     """Remove the given players (zero-based) before play; T and U unchanged."""
-    _require_team(team)
-    size = spec.team1_size if team == 1 else spec.team2_size
+    size = spec.team_size(team)
     drop = set(players)
     for p in drop:
         if not 0 <= p < size:
@@ -183,7 +182,8 @@ class GammaParams:
     ``c`` is the underlying contest scale; ``a`` counts strong diagonal pairs
     already consumed by Team-1 wins (each lowers the win threshold by one);
     ``b`` counts consumed dummy pairs.  Valid whenever c >= 1,
-    0 <= a <= ceil(c/2) and 0 <= b <= floor(c/2); checked when built.
+    0 <= a <= ceil(c/2) and 0 <= b <= floor(c/2); checked when built (PARSE
+    unless ints, SIZE below those bounds, PARAMS above them).
     """
 
     c: int
@@ -191,8 +191,8 @@ class GammaParams:
     b: int
 
     def __post_init__(self) -> None:
-        up, down = _halves(self.c)
-        if self.c < 1 or not 0 <= self.a <= up or not 0 <= self.b <= down:
+        up, down = _halves(_whole(self.c, "c", 1))
+        if not _whole(self.a, "a", 0) <= up or not _whole(self.b, "b", 0) <= down:
             raise ValidationError(
                 f"invalid threshold-game parameters c={self.c}, a={self.a}, b={self.b}",
                 "PARAMS",
@@ -304,8 +304,7 @@ def check_theorem1(spec: GameSpec) -> CheckReport:
 
 
 def _strength_order_desc(spec: GameSpec, team: int) -> list[int]:
-    _require_team(team)
-    order = classify(spec)[team - 1].order
+    order = classify(spec)[_team(team) - 1].order
     if order is None:
         raise PreconditionError(f"team {team} is not transitive")
     return list(reversed(order))  # strongest first
@@ -324,7 +323,7 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
         raise PreconditionError("utility table is not monotone")
     strongest_first = _strength_order_desc(spec, team)
     rounds = spec.rounds
-    size = spec.team1_size if team == 1 else spec.team2_size
+    size = spec.team_size(team)
     result = solve(spec)
     witnesses: list[str] = []
     values = {"value": result.root_value}
@@ -344,7 +343,7 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
     for key in result.strategy1.moves:
         k = key.round_index
         # Ascending index = stage-game line order.
-        lines = unplayed(key.played1 if team == 1 else key.played2, size)
+        lines = unplayed(key[team - 1], size)
         remaining = sorted(lines, key=rank.__getitem__)
         top = remaining[: rounds - k]
         rest = remaining[rounds - k :]

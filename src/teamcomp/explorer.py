@@ -190,7 +190,7 @@ def spec_digest(spec: GameSpec) -> str:
 
 def generate_instance(config: SearchConfig, index: int) -> GameSpec:
     """Deterministic instance number ``index`` of the configured stream."""
-    if not 0 <= index < config.instances:
+    if not _whole(index, "index", 0) < config.instances:
         raise ValidationError(f"index {index} outside 0..{config.instances - 1}", "SIZE")
     rng = random.Random(f"{config.seed}:{index}")
     rounds = rng.randint(*config.t_range)

@@ -126,6 +126,14 @@ def _whole(value: object, name: str, least: int) -> int:
     return value
 
 
+def _team(team: object) -> int:
+    """``team`` itself when it is the int 1 or 2: the one team-number rule.
+    Anything else, ``True``, ``2.0`` and ``"1"`` included, raises PARSE."""
+    if not isinstance(team, int) or isinstance(team, bool) or team not in (1, 2):
+        raise ValidationError(f"team must be 1 or 2, got {team!r}", "PARSE")
+    return team
+
+
 def utility_name(name: object) -> str:
     """The scoring rule a name spells: "UE" (expected wins) or "UM" (majority).
 
@@ -283,6 +291,11 @@ class GameSpec:
     @property
     def team2_size(self) -> int:
         return self.strength.cols
+
+    def team_size(self, team: int) -> int:
+        """Roster size of Team ``team`` (PARSE unless 1 or 2); the team's
+        played set at a class ``key`` is ``key[team - 1]``."""
+        return self.strength.cols if _team(team) == 2 else self.strength.rows
 
 
 def make_spec(

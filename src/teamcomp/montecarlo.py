@@ -51,7 +51,7 @@ def simulate_competitions(
     # The variance sums squared utilities in floats; that sum must stay finite.
     if any(u * u * samples > sys.float_info.max for u in spec.utility.values):
         raise ValidationError("utility values too large to sample in floats", "RANGE")
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+    rounds = spec.rounds
     win_prob = [[float(p) for p in row] for row in spec.strength.entries]
     utility = [float(u) for u in spec.utility.values]
     rng = random.Random(seed)
@@ -59,11 +59,11 @@ def simulate_competitions(
     # Per-class sampling tables built lazily: (players, cumulative weights).
     tables: dict[tuple[int, HistoryClassKey], tuple[list[int], list[float]]] = {}
 
-    def sampler(strategy: Strategy, key: HistoryClassKey, own_mask: int, own_size: int):
+    def sampler(strategy: Strategy, key: HistoryClassKey):
         cache_key = (strategy.team, key)
         table = tables.get(cache_key)
         if table is None:
-            dist = _distribution_at(strategy, key, own_mask, own_size)
+            dist = _distribution_at(spec, strategy, key)
             players = sorted(dist)
             cums: list[float] = []
             acc = 0.0
@@ -82,8 +82,8 @@ def simulate_competitions(
         xm = ym = wins = 0
         for _k in range(rounds):
             key = HistoryClassKey(xm, ym, wins)
-            i = sampler(strategy1, key, xm, m)
-            j = sampler(strategy2, key, ym, n)
+            i = sampler(strategy1, key)
+            j = sampler(strategy2, key)
             if rng.random() < win_prob[i][j]:
                 wins += 1
             xm |= 1 << i

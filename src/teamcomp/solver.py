@@ -37,6 +37,7 @@ from .model import (
     ROOT_CLASS,
     TerminalClassError,
     ValidationError,
+    _whole,
     player_label,
     unplayed,
 )
@@ -106,10 +107,9 @@ def _reach(spec: GameSpec, key: HistoryClassKey, team: int, pick: int) -> set[Hi
     """Classes one round after ``key`` when ``team`` commits ``pick`` and the
     other team commits any of its unused players."""
     strength = spec.strength.entries
-    if team == 1:
-        pairs = [(pick, j) for j in unplayed(key.played2, spec.team2_size)]
-    else:
-        pairs = [(i, pick) for i in unplayed(key.played1, spec.team1_size)]
+    other = 3 - team
+    free = unplayed(key[other - 1], spec.team_size(other))
+    pairs = [(pick, j) for j in free] if team == 1 else [(i, pick) for i in free]
     return {succ for i, j in pairs for succ, _ in _successors(key, i, j, strength[i][j])}
 
 
@@ -164,7 +164,7 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     """
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     total = class_count(m, n, rounds)
-    if total > class_budget:
+    if total > _whole(class_budget, "budget", 0):
         raise BudgetExceeded(
             f"{total} history classes exceed the budget of {class_budget}"
         )
@@ -218,24 +218,17 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
 
 def uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     """Pick uniformly among the team's unused players at every class."""
-    _require_team(team)
+    own_size = spec.team_size(team)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    own_size = m if team == 1 else n
     moves: dict[HistoryClassKey, dict[int, Fraction]] = {}
     for k in range(rounds):
         weight = Fraction(1, own_size - k)
         for xmask in _masks(m, k):
             for ymask in _masks(n, k):
-                own_mask = xmask if team == 1 else ymask
-                dist = {i: weight for i in unplayed(own_mask, own_size)}
+                dist = {i: weight for i in unplayed((xmask, ymask)[team - 1], own_size)}
                 for wins in range(k + 1):
                     moves[HistoryClassKey(xmask, ymask, wins)] = dist
     return BehavioralStrategy(team, moves)
-
-
-def _require_team(team: int) -> None:
-    if team not in (1, 2):
-        raise ValidationError(f"team must be 1 or 2, got {team}", "PARSE")
 
 
 def _require_no_spares(spec: GameSpec) -> None:
@@ -247,13 +240,13 @@ def _require_no_spares(spec: GameSpec) -> None:
 
 
 def _distribution_at(
-    strategy: Strategy,
-    key: HistoryClassKey,
-    own_mask: int,
-    own_size: int,
+    spec: GameSpec, strategy: Strategy, key: HistoryClassKey
 ) -> dict[int, Fraction]:
     """Strategy's move distribution at a class, validated against the
-    unplayed-player set."""
+    unplayed players of the strategy's own team, whose roster and played set
+    it reads from ``strategy.team`` (PARSE unless that is 1 or 2)."""
+    own_size = spec.team_size(strategy.team)
+    own_mask = key[strategy.team - 1]
     entry = strategy.moves.get(key)
     if entry is None:
         raise CoverageError(
@@ -290,25 +283,23 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
     opponent plays arbitrarily; raises CoverageError if the fixed strategy is
     silent or invalid at any such class.
     """
-    _require_team(fixed.team)
     strength = spec.strength.entries
     utility = spec.utility.values
     rounds = spec.rounds
     # Roles, picked once.  ``step`` turns (Team 1, Team 2) order into (frozen,
-    # free) order and back: each team's played mask sits in the class key at
-    # its team slot.  The free team pushes Team-1 utility its own way.
-    step = 1 if fixed.team == 1 else -1
-    (own, own_size), (free, free_size) = ((0, spec.team1_size), (1, spec.team2_size))[::step]
-    respond = min if step == 1 else max
+    # free) order and back; the free team pushes Team-1 utility its own way.
+    # The frozen team's number is checked where its first move is read.
+    step, free, respond = (1, 2, min) if fixed.team == 1 else (-1, 1, max)
+    free_size = spec.team_size(free)
     best: dict[HistoryClassKey, Fraction] = {}
 
     def value(key: HistoryClassKey) -> Fraction:
         if key.round_index == rounds:
             return utility[key.wins]
         if key not in best:
-            dist = _distribution_at(fixed, key, key[own], own_size)
+            dist = _distribution_at(spec, fixed, key)
             candidates = []
-            for free_player in unplayed(key[free], free_size):
+            for free_player in unplayed(key[free - 1], free_size):
                 expected = _ZERO
                 for fixed_player, weight in dist.items():
                     i, j = (fixed_player, free_player)[::step]
@@ -327,15 +318,14 @@ def _histories(
     """Exact distribution over finished contests; probabilities sum to one."""
     if strategy1.team != 1 or strategy2.team != 2:
         raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
-    m, n = spec.team1_size, spec.team2_size
     strength = spec.strength.entries
 
     states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
     for _ in range(spec.rounds):
         nxt: dict[_Outcome, Fraction] = {}
         for (pairs, key), prob in states.items():
-            dist1 = _distribution_at(strategy1, key, key.played1, m)
-            dist2 = _distribution_at(strategy2, key, key.played2, n)
+            dist1 = _distribution_at(spec, strategy1, key)
+            dist2 = _distribution_at(spec, strategy2, key)
             for i, w1 in dist1.items():
                 for j, w2 in dist2.items():
                     move_prob = prob * w1 * w2
@@ -392,13 +382,12 @@ def enumerate_pure_strategies(
     BudgetExceeded on the first ``next()`` when more than ``budget``
     strategies exist, before any strategy is yielded.
     """
-    _require_team(team)
+    own_size = spec.team_size(team)
+    _whole(budget, "budget", 0)
     rounds = spec.rounds
-    own_size = spec.team1_size if team == 1 else spec.team2_size
 
     def options(frontier: tuple[HistoryClassKey, ...]) -> list[list[int]]:
-        masks = [key.played1 if team == 1 else key.played2 for key in frontier]
-        return [unplayed(mask, own_size) for mask in masks]
+        return [unplayed(key[team - 1], own_size) for key in frontier]
 
     def prefixes(
         frontier: tuple[HistoryClassKey, ...],

@@ -209,6 +209,16 @@ class TestGammaGames:
         with pytest.raises(ValidationError):
             gamma_game(GammaParams(0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "params, code",
+        [((2.0, 0, 0), "PARSE"), ((True, 0, 0), "PARSE"), ((3, "0", 0), "PARSE"),
+         ((0, 0, 0), "SIZE"), ((3, -1, 0), "SIZE"), ((3, 0, -1), "SIZE")],
+    )
+    def test_parameter_types(self, params, code):
+        with pytest.raises(ValidationError) as err:
+            gamma_game(GammaParams(*params))
+        assert err.value.code == code
+
     def test_roundless_corner_rejected(self):
         with pytest.raises(ValidationError):
             gamma_game(GammaParams(3, 2, 1))

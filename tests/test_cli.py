@@ -126,6 +126,12 @@ class TestSolveCommand:
         code, _, _ = run_cli(capsys, "solve", "/nonexistent/spec.json")
         assert code == 2
 
+    def test_negative_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--example", "card", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
     def test_budget_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--example", "card", "--budget", "3")
         assert code == 3
@@ -216,6 +222,13 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "gamma", "--C", "2", "--a", "5")
         assert code == 2
         assert "PARAMS" in err
+
+    def test_gamma_below_range_exits_2_with_size(self, capsys):
+        for argv in (("--C", "0"), ("--C", "3", "--a", "-1")):
+            code, out, err = run_cli(capsys, "gamma", *argv)
+            assert code == 2
+            assert out == ""
+            assert "error[SIZE]" in err
 
     def test_gamma_over_player_limit_exits_2(self, capsys):
         # 10**400 is past float range: halving C must stay in integers.

@@ -54,6 +54,12 @@ class TestGenerateInstance:
         for index in range(25):
             validate_spec(generate_instance(config, index))
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_index_type(self, index):
+        with pytest.raises(ValidationError) as err:
+            generate_instance(SearchConfig(seed=0, instances=3), index)
+        assert err.value.code == "PARSE"
+
     def test_index_range(self):
         config = SearchConfig(seed=1, instances=2)
         with pytest.raises(ValidationError):

@@ -248,10 +248,16 @@ class TestValidateSpec:
         assert [name for name in callers if name != "model.py"] == []
 
     def test_only_model_spells_the_contest_rules(self):
-        # The whole-number rule (no bools) and the UE/UM name rule live in model.
+        # The whole-number rule (no bools) and the UE/UM name rule live in
+        # model, and so does the team lookup: no conditional expression
+        # elsewhere picks a team's roster size or played set.
         callers = []
         for path in sorted(Path(model.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.IfExp):
+                    picks = {getattr(node.body, "attr", None), getattr(node.orelse, "attr", None)}
+                    if picks in ({"team1_size", "team2_size"}, {"played1", "played2"}):
+                        callers.append((path.name, "team"))
                 if not isinstance(node, ast.Call):
                     continue
                 if isinstance(node.func, ast.Attribute) and node.func.attr == "upper":

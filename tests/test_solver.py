@@ -5,7 +5,12 @@ from math import comb, factorial
 import pytest
 
 from teamcomp import solver
-from teamcomp.analysis import add_dominated
+from teamcomp.analysis import (
+    abandon,
+    add_dominated,
+    check_theorem2,
+    top_block_uniform_strategy,
+)
 from teamcomp.instances import named_instance
 from teamcomp.matrix import solve_matrix
 from teamcomp.model import (
@@ -173,6 +178,12 @@ class TestSolve:
     def test_budget(self, card_spec):
         with pytest.raises(BudgetExceeded):
             solve(card_spec, class_budget=10)
+
+    @pytest.mark.parametrize("budget", ["x", True, 10.0])
+    def test_budget_type(self, card_spec, budget):
+        with pytest.raises(ValidationError) as err:
+            solve(card_spec, class_budget=budget)
+        assert err.value.code == "PARSE"
 
     def test_deterministic(self, ex3_um):
         first = solve(ex3_um)
@@ -435,6 +446,11 @@ class TestEnumeratePureStrategies:
         with pytest.raises(BudgetExceeded):
             next(enumerate_pure_strategies(spec, 1, budget=10))
 
+    def test_budget_type(self, card_spec):
+        with pytest.raises(ValidationError) as err:
+            next(enumerate_pure_strategies(card_spec, 1, budget="x"))
+        assert err.value.code == "PARSE"
+
     def test_budget_equal_to_count(self):
         spec = make_spec(2, [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]], "UE")
         strategies = list(enumerate_pure_strategies(spec, 1, budget=48))
@@ -471,6 +487,41 @@ class TestMaxMeetingProbability:
             for i in range(m):
                 for j in range(n):
                     assert max_meeting_probability(spec, i, j) == peaks[i][j]
+
+
+class TestTeamNumbers:
+    @pytest.mark.parametrize("team", [True, 2.0, "1"])
+    def test_team_argument_refused(self, card_spec, team):
+        calls = (
+            lambda: uniform_strategy(card_spec, team),
+            lambda: next(enumerate_pure_strategies(card_spec, team)),
+            lambda: abandon(card_spec, team, []),
+            lambda: check_theorem2(card_spec, team),
+            lambda: top_block_uniform_strategy(card_spec, team),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == "PARSE"
+            assert str(err.value) == f"team must be 1 or 2, got {team!r}"
+
+    def test_strategy_team_refused(self, card_spec):
+        result = solve(card_spec)
+        one = BehavioralStrategy(True, result.strategy1.moves)
+        two = BehavioralStrategy(2.0, result.strategy2.moves)
+        value = result.root_value
+        calls = (
+            lambda: evaluate_fixed(card_spec, one),
+            lambda: evaluate_fixed(card_spec, two),
+            lambda: meeting_probabilities(card_spec, one, result.strategy2),
+            lambda: meeting_probabilities(card_spec, result.strategy1, two),
+            lambda: simulate_competitions(card_spec, one, result.strategy2, value, 10, 0),
+            lambda: simulate_competitions(card_spec, result.strategy1, two, value, 10, 0),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == "PARSE"
 
 
 class TestSimulation:
