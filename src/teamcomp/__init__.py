@@ -42,6 +42,7 @@ from .solver import (
     matching_distribution,
     max_meeting_probability,
     meeting_probabilities,
+    pure_meeting_grids,
     solve,
     stage_matrix,
     uniform_strategy,

@@ -151,6 +151,8 @@ def _cmd_abandon_delta(args) -> int:
         try:
             number = int(chunk)
         except ValueError:
+            number = 0
+        if number < 1:
             raise GameModelError(f"bad player number {chunk!r} (use 1-based integers)", "PARSE")
         players.append(number - 1)
     before = solve(spec, class_budget=args.budget).root_value

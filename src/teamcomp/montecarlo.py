@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import GameSpec, HistoryClassKey, ValidationError, _whole
-from .solver import Strategy, _distribution_at
+from .solver import Strategy, _distribution_at, _require_team_order
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def simulate_competitions(
     seed: int,
 ) -> SimulationEstimate:
     """Play ``samples`` independent contests and summarize Team-1 utility."""
+    _require_team_order(strategy1, strategy2)
     _whole(samples, "samples", 1)
     # The variance sums squared utilities in floats; that sum must stay finite.
     if any(u * u * samples > sys.float_info.max for u in spec.utility.values):

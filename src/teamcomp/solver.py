@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -55,6 +55,11 @@ DEFAULT_ENUM_BUDGET = 200_000
 Strategy = Union[BehavioralStrategy, PureAdaptiveStrategy]
 #: A finished contest: the sorted (i, j) pairs that met and the terminal class.
 _Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
+#: The classes of one round where a pure strategy's own picks lead, sorted.
+_Frontier = tuple[HistoryClassKey, ...]
+#: One step down the strategy prefix tree: (frontier, picks there, state) to
+#: the next round's frontier and state.
+_Step = Callable[[_Frontier, tuple[int, ...], object], tuple[_Frontier, object]]
 
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
@@ -239,6 +244,13 @@ def _require_no_spares(spec: GameSpec) -> None:
         )
 
 
+def _require_team_order(strategy1: Strategy, strategy2: Strategy) -> None:
+    """The one play-order rule: Team 1's strategy first, Team 2's second
+    (PARSE otherwise)."""
+    if strategy1.team != 1 or strategy2.team != 2:
+        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
+
+
 def _distribution_at(
     spec: GameSpec, strategy: Strategy, key: HistoryClassKey
 ) -> dict[int, Fraction]:
@@ -316,8 +328,7 @@ def _histories(
     spec: GameSpec, strategy1: Strategy, strategy2: Strategy
 ) -> dict[_Outcome, Fraction]:
     """Exact distribution over finished contests; probabilities sum to one."""
-    if strategy1.team != 1 or strategy2.team != 2:
-        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
+    _require_team_order(strategy1, strategy2)
     strength = spec.strength.entries
 
     states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
@@ -370,6 +381,57 @@ def meeting_probabilities(
     return tuple(tuple(row) for row in grid)
 
 
+def _prefix_walk(
+    spec: GameSpec,
+    team: int,
+    budget: int,
+    step: _Step | None = None,
+    root: object = None,
+) -> Iterator[tuple[_Frontier, list[list[int]], dict[HistoryClassKey, int], object]]:
+    """Last round of every prefix of ``team``'s pure strategies, in
+    enumeration order.
+
+    A prefix fixes the team's picks at every class of its earlier rounds that
+    its own picks reach.  Each yield is the prefix's last-round frontier, the
+    unused players at each of its classes, the earlier picks (one dict,
+    updated in place between yields) and the state ``step`` carried down.
+    ``step(frontier, combo, state)`` gives the next round's frontier and
+    state once ``combo`` is picked at ``frontier``; the default reaches every
+    class any opponent move and outcome leads to and carries no state.
+    Raises BudgetExceeded before the first yield when more than ``budget``
+    strategies exist.
+    """
+    own_size = spec.team_size(team)
+    _whole(budget, "budget", 0)
+    rounds = spec.rounds
+
+    def reachable(frontier, combo, _state):
+        frontier_next: set[HistoryClassKey] = set()
+        for key, choice in zip(frontier, combo):
+            frontier_next |= _reach(spec, key, team, choice)
+        return tuple(sorted(frontier_next)), None
+
+    def prefixes(step, frontier, state, level, assignment):
+        choices = [unplayed(key[team - 1], own_size) for key in frontier]
+        if level + 1 == rounds:
+            yield frontier, choices, assignment, state
+            return
+        for combo in itertools.product(*choices):
+            assignment.update(zip(frontier, combo))
+            yield from prefixes(step, *step(frontier, combo, state), level + 1, assignment)
+        for key in frontier:
+            del assignment[key]
+
+    # Every prefix has at least one completion, so the count walk stops
+    # after at most budget + 1 prefixes.
+    total = 0
+    for _frontier, choices, _picks, _state in prefixes(reachable, (ROOT_CLASS,), None, 0, {}):
+        total += prod(len(players) for players in choices)
+        if total > budget:
+            raise BudgetExceeded(f"pure strategy enumeration exceeds the budget of {budget}")
+    yield from prefixes(step or reachable, (ROOT_CLASS,), root, 0, {})
+
+
 def enumerate_pure_strategies(
     spec: GameSpec, team: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Iterator[PureAdaptiveStrategy]:
@@ -382,45 +444,58 @@ def enumerate_pure_strategies(
     BudgetExceeded on the first ``next()`` when more than ``budget``
     strategies exist, before any strategy is yielded.
     """
-    own_size = spec.team_size(team)
-    _whole(budget, "budget", 0)
-    rounds = spec.rounds
-
-    def options(frontier: tuple[HistoryClassKey, ...]) -> list[list[int]]:
-        return [unplayed(key[team - 1], own_size) for key in frontier]
-
-    def prefixes(
-        frontier: tuple[HistoryClassKey, ...],
-        level: int,
-        assignment: dict[HistoryClassKey, int],
-    ) -> Iterator[tuple[HistoryClassKey, ...]]:
-        """Last-level frontier of each prefix; ``assignment`` holds its picks."""
-        if level + 1 == rounds:
-            yield frontier
-            return
-        for combo in itertools.product(*options(frontier)):
-            frontier_next: set[HistoryClassKey] = set()
-            for key, choice in zip(frontier, combo):
-                assignment[key] = choice
-                frontier_next |= _reach(spec, key, team, choice)
-            yield from prefixes(tuple(sorted(frontier_next)), level + 1, assignment)
-        for key in frontier:
-            del assignment[key]
-
-    # Every prefix has at least one completion, so the count walk stops
-    # after at most budget + 1 prefixes.
-    total = 0
-    for frontier in prefixes((ROOT_CLASS,), 0, {}):
-        total += prod(len(players) for players in options(frontier))
-        if total > budget:
-            raise BudgetExceeded(f"pure strategy enumeration exceeds the budget of {budget}")
-
-    assignment: dict[HistoryClassKey, int] = {}
-    for frontier in prefixes((ROOT_CLASS,), 0, assignment):
-        for combo in itertools.product(*options(frontier)):
+    for frontier, choices, assignment, _ in _prefix_walk(spec, team, budget):
+        for combo in itertools.product(*choices):
             moves = dict(assignment)
             moves.update(zip(frontier, combo))
             yield PureAdaptiveStrategy(team, moves)
+
+
+def pure_meeting_grids(
+    spec: GameSpec, *, budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[tuple[tuple[Fraction, ...], ...]]:
+    """Meeting grid of every Team-1 pure strategy against a uniform Team 2.
+
+    The k-th grid equals ``meeting_probabilities(spec, pure,
+    uniform_strategy(spec, 2))`` for the k-th strategy
+    ``enumerate_pure_strategies(spec, 1, budget=budget)`` yields, and
+    BudgetExceeded comes at the same point, before any grid.  One walk down
+    the enumeration's prefix tree carries each frontier class's reach
+    probability and the grid of the rounds already decided, so strategies
+    that share a prefix share its work and only the last round is expanded
+    per strategy.  A pair meets at most once, so a grid is a sum over rounds.
+    """
+    m, n = spec.team1_size, spec.team2_size
+    strength = spec.strength.entries
+
+    def slots(reach, frontier):
+        """Each frontier class, Team 2's unused players there, and the
+        probability of reaching the class and meeting any one of them."""
+        for key in frontier:
+            free = unplayed(key.played2, n)
+            yield key, free, reach[key] / len(free)
+
+    def step(frontier, combo, state):
+        reach, grid = state
+        grid = [row[:] for row in grid]
+        reach_next: dict[HistoryClassKey, Fraction] = {}
+        for (key, free, share), i in zip(slots(reach, frontier), combo):
+            for j in free:
+                grid[i][j] += share
+                for succ, q in _successors(key, i, j, strength[i][j]):
+                    reach_next[succ] = reach_next.get(succ, _ZERO) + share * q
+        return tuple(sorted(reach_next)), (reach_next, grid)
+
+    root = ({ROOT_CLASS: _ONE}, [[_ZERO] * n for _ in range(m)])
+    for frontier, choices, _, (reach, grid) in _prefix_walk(spec, 1, budget, step, root):
+        last = list(slots(reach, frontier))
+        for combo in itertools.product(*choices):
+            final = [row[:] for row in grid]
+            for (_key, free, share), i in zip(last, combo):
+                row = final[i]
+                for j in free:
+                    row[j] += share
+            yield tuple(tuple(row) for row in final)
 
 
 def max_meeting_probability(spec: GameSpec, row_player: int, col_player: int) -> Fraction:
@@ -433,7 +508,9 @@ def max_meeting_probability(spec: GameSpec, row_player: int, col_player: int) ->
     conditioning on them cannot help.
     """
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    if not (0 <= row_player < m and 0 <= col_player < n):
+    _whole(row_player, "row player", 0)
+    _whole(col_player, "column player", 0)
+    if row_player >= m or col_player >= n:
         raise ValidationError("player index out of range", "INDEX")
 
     # Only pairs of played sets after which the two can still meet are

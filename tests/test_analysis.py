@@ -136,6 +136,12 @@ class TestRosterSurgery:
             abandon(spec, 1, [0, 1])
         assert err.value.code == "SIZE"
 
+    @pytest.mark.parametrize("player", ["1", True, 1.0])
+    def test_abandon_player_type(self, card_spec, player):
+        with pytest.raises(ValidationError) as err:
+            abandon(card_spec, 1, [player])
+        assert err.value.code == "PARSE"
+
     def test_abandon_team2_column(self, ex1_spec):
         trimmed = abandon(ex1_spec, 2, [2])
         assert trimmed.team2_size == 2
@@ -406,6 +412,29 @@ class TestLemmas:
         assert report.passed
         assert not report.params["enumeration_complete"]
         assert report.params["strategies_checked"] == 0
+
+    def test_lemma5_grids_from_one_walk(self, monkeypatch):
+        # The per-strategy grids come from the shared prefix-tree walk, not
+        # from one forward pass per strategy.
+        def refuse(*args):
+            raise AssertionError("check_lemma5 ran a per-strategy forward pass")
+
+        monkeypatch.setattr(analysis, "meeting_probabilities", refuse)
+        spec = random_weak_tail_spec(random.Random("l5-walk"), 2, 4, 6)
+        report = check_lemma5(spec)
+        assert report.passed
+        assert report.params["enumeration_complete"]
+        assert report.params["strategies_checked"] > 1
+
+    def test_lemma5_ex3_report(self, ex3_um):
+        report = check_lemma5(ex3_um)
+        assert report.to_document() == {
+            "check": "lemma5",
+            "params": {"T": 3, "m": 4, "strategies_checked": 6336, "enumeration_complete": True},
+            "pass": True,
+            "witnesses": [],
+            "values": {"bound": "1/3", "max_meeting_probability": "1/3"},
+        }
 
     def test_lemma5_precondition(self):
         spec = make_spec(2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "UE")

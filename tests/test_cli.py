@@ -197,6 +197,17 @@ class TestOtherCommands:
             assert out == ""
             assert err == f"error[INDEX]: no player {label} on team {team}\n"
 
+    def test_abandon_delta_player_below_one(self, capsys):
+        for number in ("0", "-2"):
+            code, out, err = run_cli(
+                capsys,
+                "abandon-delta", "--example", "ex3", "--utility", "UM",
+                "--players", number,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error[PARSE]: bad player number {number!r} (use 1-based integers)\n"
+
     def test_abandon_delta_budget_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -33,12 +33,13 @@ from teamcomp.solver import (
     matching_distribution,
     max_meeting_probability,
     meeting_probabilities,
+    pure_meeting_grids,
     solve,
     stage_matrix,
     uniform_strategy,
 )
 from teamcomp.montecarlo import simulate_competitions
-from teamcomp.explorer import random_square_spec, random_strength_rows
+from teamcomp.explorer import random_square_spec, random_strength_rows, random_weak_tail_spec
 
 from oracles import oracle_game_value, oracle_history_class_value
 
@@ -458,6 +459,40 @@ class TestEnumeratePureStrategies:
         assert len(strategies) == 48
 
 
+class TestPureMeetingGrids:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            named_instance("ex3", "UM"),
+            random_weak_tail_spec(random.Random("grids-a"), 2, 3, 6),
+            random_weak_tail_spec(random.Random("grids-b"), 2, 4, 6),
+            # Certain wins and losses prune a match to one successor.
+            make_spec(2, [[1, 0], [0, "1/2"], [0, 0]], "UM"),
+        ],
+        ids=["ex3-UM", "weak-tail-3", "weak-tail-4", "zero-one"],
+    )
+    def test_kth_grid_is_kth_strategy_grid(self, spec):
+        uniform2 = uniform_strategy(spec, 2)
+        count = 0
+        for count, (grid, pure) in enumerate(
+            zip(pure_meeting_grids(spec), enumerate_pure_strategies(spec, 1), strict=True),
+            start=1,
+        ):
+            assert grid == meeting_probabilities(spec, pure, uniform2)
+        assert count > 1
+
+    def test_budget_settled_before_first_grid(self):
+        spec = make_spec(2, [["1/2", "1/3"], ["1/4", "1/5"], ["1/6", "1/7"]], "UE")
+        with pytest.raises(BudgetExceeded):
+            next(pure_meeting_grids(spec, budget=47))
+        assert len(list(pure_meeting_grids(spec, budget=48))) == 48
+
+    def test_budget_type(self, card_spec):
+        with pytest.raises(ValidationError) as err:
+            next(pure_meeting_grids(card_spec, budget=True))
+        assert err.value.code == "PARSE"
+
+
 class TestMaxMeetingProbability:
     def test_bounded_by_inverse_rounds_without_spares(self):
         rng = random.Random("mmp")
@@ -487,6 +522,22 @@ class TestMaxMeetingProbability:
             for i in range(m):
                 for j in range(n):
                     assert max_meeting_probability(spec, i, j) == peaks[i][j]
+
+    @pytest.mark.parametrize("index", [True, "1", 1.0])
+    def test_player_index_type(self, card_spec, index):
+        for call in (
+            lambda: max_meeting_probability(card_spec, index, 0),
+            lambda: max_meeting_probability(card_spec, 0, index),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == "PARSE"
+
+    def test_player_index_range(self, card_spec):
+        for row, col in ((3, 0), (0, 3)):
+            with pytest.raises(ValidationError) as err:
+                max_meeting_probability(card_spec, row, col)
+            assert err.value.code == "INDEX"
 
 
 class TestTeamNumbers:
@@ -550,6 +601,16 @@ class TestSimulation:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_swapped_strategies_refused(self, name):
+        spec = named_instance(name)
+        result = solve(spec)
+        with pytest.raises(ValidationError) as err:
+            simulate_competitions(
+                spec, result.strategy2, result.strategy1, result.root_value, 10, 0
+            )
+        assert err.value.code == "PARSE"
 
     def test_sample_count_type(self, card_spec):
         result = solve(card_spec)
