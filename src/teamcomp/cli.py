@@ -40,6 +40,7 @@ from .model import (
     MAX_PLAYERS,
     ROOT_CLASS,
     ValidationError,
+    _whole,
     document_from_spec,
     format_rational,
     load_spec,
@@ -201,18 +202,17 @@ def _cmd_simulate(args) -> int:
 
 def _rounds_pool(args, default: list[int]) -> list[int]:
     """Round counts a suite draws from: ``--T`` alone when given."""
-    if args.T is not None and args.T < 1:
-        raise ValidationError(f"--T must be >= 1, got {args.T}", "SIZE")
-    if args.T is not None and args.T > MAX_PLAYERS:
+    if args.T is None:
+        return default
+    if _whole(args.T, "--T", 1) > MAX_PLAYERS:
         raise ValidationError(f"--T={args.T} exceeds the {MAX_PLAYERS}-player limit", "SIZE")
-    return default if args.T is None else [args.T]
+    return [args.T]
 
 
 def _generated(args, suite: str, default_rounds: list[int], build):
     """Yield ``(index, spec)`` for ``--instances`` contests, each drawn from its own
     ``Random(f"{seed}:{suite}:{index}")``: the round count, then ``build``'s draws."""
-    if args.instances < 1:
-        raise ValidationError(f"--instances must be >= 1, got {args.instances}", "SIZE")
+    _whole(args.instances, "--instances", 1)
     pool = _rounds_pool(args, default_rounds)
     for index in range(args.instances):
         rng = random.Random(f"{args.seed}:{suite}:{index}")

@@ -98,10 +98,10 @@ def random_transitive_spec(
 
 
 def random_weak_tail_spec(
-    rng: random.Random, rounds: int, team1_size: int, bound: int, utility: str = "UE"
+    rng: random.Random, rounds: int, team1_size: int, bound: int
 ) -> GameSpec:
-    """Random contest where Team 1's players beyond the first T are weaker
-    than every starter, and Team 2 has exactly T players."""
+    """Random expected-wins (UE) contest where Team 1's players beyond the
+    first T are weaker than every starter, and Team 2 has exactly T players."""
     if team1_size <= rounds:
         raise ValidationError("weak-tail specs need spare Team-1 players", "SIZE")
     pool = rationals_up_to_denominator(bound)
@@ -112,7 +112,7 @@ def random_weak_tail_spec(
             ceiling = min(rows[i][j] for i in range(rounds))
             tail.append(rng.choice([q for q in pool if q <= ceiling]))
         rows.append(tail)
-    return make_spec(rounds, rows, utility)
+    return make_spec(rounds, rows, "UE")
 
 
 def _permutation_pattern_rows(

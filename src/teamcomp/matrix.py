@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .model import RationalLike, ValidationError, _parse_rows, parse_rational
+from .model import RationalLike, ValidationError, _parse_rows, _whole, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -181,7 +181,9 @@ def _simplex(payoff: Sequence[Sequence[Fraction]], shift: Fraction) -> MatrixSol
 
 def row_dominates(game: MatrixGame, i: int, j: int) -> bool:
     """True iff row ``i`` is at least as good as row ``j`` in every column."""
-    if not (0 <= i < game.rows and 0 <= j < game.rows):
+    _whole(i, "row index", 0)
+    _whole(j, "row index", 0)
+    if max(i, j) >= game.rows:
         raise ValidationError(f"row index out of range: {i}, {j}", "INDEX")
     row_i, row_j = game.payoff[i], game.payoff[j]
     return all(a >= b for a, b in zip(row_i, row_j))
@@ -190,7 +192,9 @@ def row_dominates(game: MatrixGame, i: int, j: int) -> bool:
 def col_dominates(game: MatrixGame, i: int, j: int) -> bool:
     """True iff column ``i`` is at least as good as column ``j`` for the
     minimizing player (entrywise <=)."""
-    if not (0 <= i < game.cols and 0 <= j < game.cols):
+    _whole(i, "column index", 0)
+    _whole(j, "column index", 0)
+    if max(i, j) >= game.cols:
         raise ValidationError(f"column index out of range: {i}, {j}", "INDEX")
     return all(row[i] <= row[j] for row in game.payoff)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -57,9 +57,6 @@ Strategy = Union[BehavioralStrategy, PureAdaptiveStrategy]
 _Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
 #: The classes of one round where a pure strategy's own picks lead, sorted.
 _Frontier = tuple[HistoryClassKey, ...]
-#: One step down the strategy prefix tree: (frontier, picks there, state) to
-#: the next round's frontier and state.
-_Step = Callable[[_Frontier, tuple[int, ...], object], tuple[_Frontier, object]]
 
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
@@ -382,54 +379,43 @@ def meeting_probabilities(
 
 
 def _prefix_walk(
-    spec: GameSpec,
-    team: int,
-    budget: int,
-    step: _Step | None = None,
-    root: object = None,
-) -> Iterator[tuple[_Frontier, list[list[int]], dict[HistoryClassKey, int], object]]:
+    spec: GameSpec, team: int, budget: int
+) -> Iterator[tuple[_Frontier, list[list[int]], dict[HistoryClassKey, int]]]:
     """Last round of every prefix of ``team``'s pure strategies, in
     enumeration order.
 
     A prefix fixes the team's picks at every class of its earlier rounds that
     its own picks reach.  Each yield is the prefix's last-round frontier, the
-    unused players at each of its classes, the earlier picks (one dict,
-    updated in place between yields) and the state ``step`` carried down.
-    ``step(frontier, combo, state)`` gives the next round's frontier and
-    state once ``combo`` is picked at ``frontier``; the default reaches every
-    class any opponent move and outcome leads to and carries no state.
-    Raises BudgetExceeded before the first yield when more than ``budget``
-    strategies exist.
+    unused players at each of its classes and the earlier picks (one dict,
+    updated in place between yields).  Raises BudgetExceeded before the first
+    yield when more than ``budget`` strategies exist.
     """
     own_size = spec.team_size(team)
     _whole(budget, "budget", 0)
     rounds = spec.rounds
 
-    def reachable(frontier, combo, _state):
-        frontier_next: set[HistoryClassKey] = set()
-        for key, choice in zip(frontier, combo):
-            frontier_next |= _reach(spec, key, team, choice)
-        return tuple(sorted(frontier_next)), None
-
-    def prefixes(step, frontier, state, level, assignment):
+    def prefixes(frontier, level, picks):
         choices = [unplayed(key[team - 1], own_size) for key in frontier]
         if level + 1 == rounds:
-            yield frontier, choices, assignment, state
+            yield frontier, choices, picks
             return
         for combo in itertools.product(*choices):
-            assignment.update(zip(frontier, combo))
-            yield from prefixes(step, *step(frontier, combo, state), level + 1, assignment)
+            picks.update(zip(frontier, combo))
+            reached: set[HistoryClassKey] = set()
+            for key, pick in zip(frontier, combo):
+                reached |= _reach(spec, key, team, pick)
+            yield from prefixes(tuple(sorted(reached)), level + 1, picks)
         for key in frontier:
-            del assignment[key]
+            del picks[key]
 
     # Every prefix has at least one completion, so the count walk stops
     # after at most budget + 1 prefixes.
     total = 0
-    for _frontier, choices, _picks, _state in prefixes(reachable, (ROOT_CLASS,), None, 0, {}):
+    for _frontier, choices, _picks in prefixes((ROOT_CLASS,), 0, {}):
         total += prod(len(players) for players in choices)
         if total > budget:
             raise BudgetExceeded(f"pure strategy enumeration exceeds the budget of {budget}")
-    yield from prefixes(step or reachable, (ROOT_CLASS,), root, 0, {})
+    yield from prefixes((ROOT_CLASS,), 0, {})
 
 
 def enumerate_pure_strategies(
@@ -444,9 +430,9 @@ def enumerate_pure_strategies(
     BudgetExceeded on the first ``next()`` when more than ``budget``
     strategies exist, before any strategy is yielded.
     """
-    for frontier, choices, assignment, _ in _prefix_walk(spec, team, budget):
+    for frontier, choices, picks in _prefix_walk(spec, team, budget):
         for combo in itertools.product(*choices):
-            moves = dict(assignment)
+            moves = dict(picks)
             moves.update(zip(frontier, combo))
             yield PureAdaptiveStrategy(team, moves)
 
@@ -459,39 +445,33 @@ def pure_meeting_grids(
     The k-th grid equals ``meeting_probabilities(spec, pure,
     uniform_strategy(spec, 2))`` for the k-th strategy
     ``enumerate_pure_strategies(spec, 1, budget=budget)`` yields, and
-    BudgetExceeded comes at the same point, before any grid.  One walk down
-    the enumeration's prefix tree carries each frontier class's reach
-    probability and the grid of the rounds already decided, so strategies
-    that share a prefix share its work and only the last round is expanded
+    BudgetExceeded comes at the same point, before any grid.  Each prefix of
+    the enumeration plays its earlier picks forward once, class by class, into
+    reach probabilities and a partial grid; only the last round is expanded
     per strategy.  A pair meets at most once, so a grid is a sum over rounds.
     """
-    m, n = spec.team1_size, spec.team2_size
+    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     strength = spec.strength.entries
-
-    def slots(reach, frontier):
-        """Each frontier class, Team 2's unused players there, and the
-        probability of reaching the class and meeting any one of them."""
-        for key in frontier:
-            free = unplayed(key.played2, n)
-            yield key, free, reach[key] / len(free)
-
-    def step(frontier, combo, state):
-        reach, grid = state
-        grid = [row[:] for row in grid]
-        reach_next: dict[HistoryClassKey, Fraction] = {}
-        for (key, free, share), i in zip(slots(reach, frontier), combo):
-            for j in free:
-                grid[i][j] += share
-                for succ, q in _successors(key, i, j, strength[i][j]):
-                    reach_next[succ] = reach_next.get(succ, _ZERO) + share * q
-        return tuple(sorted(reach_next)), (reach_next, grid)
-
-    root = ({ROOT_CLASS: _ONE}, [[_ZERO] * n for _ in range(m)])
-    for frontier, choices, _, (reach, grid) in _prefix_walk(spec, 1, budget, step, root):
-        last = list(slots(reach, frontier))
+    for frontier, choices, picks in _prefix_walk(spec, 1, budget):
+        grid = [[_ZERO] * n for _ in range(m)]
+        reach = {ROOT_CLASS: _ONE}
+        for _ in range(rounds - 1):
+            reach_next: dict[HistoryClassKey, Fraction] = {}
+            for key, prob in reach.items():
+                i, free = picks[key], unplayed(key.played2, n)
+                share = prob / len(free)
+                for j in free:
+                    grid[i][j] += share
+                    for succ, q in _successors(key, i, j, strength[i][j]):
+                        reach_next[succ] = reach_next.get(succ, _ZERO) + share * q
+            reach = reach_next
+        # Team 2's unused players at each frontier class, and the chance of
+        # reaching the class and meeting any one of them.
+        frees = [unplayed(key.played2, n) for key in frontier]
+        last = [(free, reach[key] / len(free)) for key, free in zip(frontier, frees)]
         for combo in itertools.product(*choices):
             final = [row[:] for row in grid]
-            for (_key, free, share), i in zip(last, combo):
+            for (free, share), i in zip(last, combo):
                 row = final[i]
                 for j in free:
                     row[j] += share

@@ -6,6 +6,11 @@ simplex, no pivoting), and the contest value is found by recursing over raw
 ordered histories (no class collapsing, no bit masks).  Slow but trustworthy
 on the small fixtures they are applied to.
 
+The forward oracles (``oracle_outcomes`` and the meeting and matching views
+of it) play two strategies by recursion over raw ordered pick sequences and
+match outcomes; a strategy is a function of the ordered history, so no class
+key, mask or successor rule is involved.
+
 ``bland_reference`` is the one oracle that pivots: it pins down which optimal
 mixtures the production solver must return, by running Bland's rule on the
 full tableau over ``Fraction`` (no integer scaling, no condensed columns).
@@ -223,3 +228,64 @@ def oracle_history_class_value(spec, seq1: tuple, seq2: tuple, wins: int) -> Fra
         return oracle_matrix_value(payoff)
 
     return value(seq1, seq2, wins)
+
+
+def oracle_uniform(team: int, size: int):
+    """A team's uniform strategy as a forward-oracle move function: equal
+    weight on each of its ``size`` players not yet in its own sequence."""
+
+    def move(seq1: tuple, seq2: tuple, wins: int) -> dict:
+        own = (seq1, seq2)[team - 1]
+        free = [p for p in range(size) if p not in own]
+        return {p: Fraction(1, len(free)) for p in free}
+
+    return move
+
+
+def oracle_outcomes(spec, move1, move2) -> dict:
+    """Distribution over finished contests by recursion over raw histories.
+
+    ``move1``/``move2`` map the ordered picks so far and Team 1's win count to
+    a {player: weight} mixture.  Each round draws one pick per team, then a
+    Team-1 win with the match probability and a loss with its complement; a
+    branch of probability zero is dropped.  Keys are the finished
+    ``(seq1, seq2, wins)`` histories.
+    """
+    strength = spec.strength.entries
+    rounds = spec.rounds
+    outcomes: dict = {}
+
+    def play(seq1: tuple, seq2: tuple, wins: int, prob: Fraction) -> None:
+        if len(seq1) == rounds:
+            key = (seq1, seq2, wins)
+            outcomes[key] = outcomes.get(key, ZERO) + prob
+            return
+        for i, w1 in move1(seq1, seq2, wins).items():
+            for j, w2 in move2(seq1, seq2, wins).items():
+                p = strength[i][j]
+                for won, q in ((1, p), (0, 1 - p)):
+                    if w1 * w2 * q:
+                        play(seq1 + (i,), seq2 + (j,), wins + won, prob * w1 * w2 * q)
+
+    play((), (), 0, ONE)
+    return outcomes
+
+
+def oracle_meeting_grid(spec, move1, move2) -> tuple:
+    """Chance each (Team-1, Team-2) pair is committed in the same round."""
+    grid = [[ZERO] * spec.team2_size for _ in range(spec.team1_size)]
+    for (seq1, seq2, _wins), prob in oracle_outcomes(spec, move1, move2).items():
+        for i, j in zip(seq1, seq2):
+            grid[i][j] += prob
+    return tuple(tuple(row) for row in grid)
+
+
+def oracle_matching_distribution(spec, move1, move2) -> dict:
+    """Distribution over complete matchings, keyed by the tuple whose entry
+    i is Team 1 player i's opponent, in key order; needs no spare players."""
+    result: dict = {}
+    for (seq1, seq2, _wins), prob in oracle_outcomes(spec, move1, move2).items():
+        opponent = dict(zip(seq1, seq2))
+        matching = tuple(opponent[i] for i in range(spec.team1_size))
+        result[matching] = result.get(matching, ZERO) + prob
+    return {key: result[key] for key in sorted(result)}

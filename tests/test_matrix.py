@@ -169,7 +169,7 @@ def reference(g):
     return MatrixSolution(*bland_reference(g.payoff))
 
 
-class TestSupportGuess:
+class TestBlandTieBreaking:
     """Where several mixtures are optimal, the solver must land on the ones
     Bland's rule picks on the full rational tableau."""
 
@@ -242,9 +242,25 @@ class TestDominance:
         assert row_dominates(game([[1, 0]]), 0, 0)
 
     def test_index_error(self):
-        with pytest.raises(ValidationError) as err:
-            row_dominates(game([[1]]), 0, 1)
-        assert err.value.code == "INDEX"
+        for dominates in (row_dominates, col_dominates):
+            with pytest.raises(ValidationError) as err:
+                dominates(game([[1]]), 0, 1)
+            assert err.value.code == "INDEX"
+
+    @pytest.mark.parametrize("index", [True, "1", 1.0])
+    def test_index_type(self, index):
+        # A bool is not row 1, and a str or float index is a PARSE error, not
+        # an untyped TypeError from the comparison or the tuple lookup.
+        g = game([[1, 0], [0, 1]])
+        for call in (
+            lambda: row_dominates(g, index, 0),
+            lambda: row_dominates(g, 0, index),
+            lambda: col_dominates(g, index, 0),
+            lambda: col_dominates(g, 0, index),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == "PARSE"
 
     def test_col_dominates_is_minimizer_order(self):
         g = game([[0, 1], [0, 2]])

@@ -41,7 +41,13 @@ from teamcomp.solver import (
 from teamcomp.montecarlo import simulate_competitions
 from teamcomp.explorer import random_square_spec, random_strength_rows, random_weak_tail_spec
 
-from oracles import oracle_game_value, oracle_history_class_value
+from oracles import (
+    oracle_game_value,
+    oracle_history_class_value,
+    oracle_matching_distribution,
+    oracle_meeting_grid,
+    oracle_uniform,
+)
 
 F = Fraction
 
@@ -491,6 +497,75 @@ class TestPureMeetingGrids:
         with pytest.raises(ValidationError) as err:
             next(pure_meeting_grids(card_spec, budget=True))
         assert err.value.code == "PARSE"
+
+
+def oracle_moves(strategy):
+    """A solver strategy as a forward-oracle move function: the ordered
+    history is looked up at its class, and zero weights are dropped."""
+
+    def move(seq1, seq2, wins):
+        key = HistoryClassKey(sum(1 << i for i in seq1), sum(1 << j for j in seq2), wins)
+        entry = strategy.moves[key]
+        if isinstance(entry, int):
+            return {entry: F(1)}
+        return {p: w for p, w in entry.items() if w}
+
+    return move
+
+
+ORACLE_FIXTURES = pytest.mark.parametrize(
+    "spec",
+    [
+        named_instance("ex3", "UM"),
+        random_weak_tail_spec(random.Random("grids-b"), 2, 4, 6),
+        random_square_spec(random.Random("oracle-square"), 3, 6, "UM"),
+        make_spec(2, [[1, 0], [0, "1/2"], [0, 0]], "UM"),
+    ],
+    ids=["ex3-UM", "weak-tail-4", "square-3", "zero-one"],
+)
+
+
+class TestForwardOracle:
+    """The forward passes against ``oracles.oracle_outcomes``, which plays
+    raw ordered histories with no class keys and no successor rule."""
+
+    @ORACLE_FIXTURES
+    def test_meeting_probabilities(self, spec):
+        m, n = spec.team1_size, spec.team2_size
+        uniform = (oracle_uniform(1, m), oracle_uniform(2, n))
+        assert meeting_probabilities(
+            spec, uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+        ) == oracle_meeting_grid(spec, *uniform)
+        result = solve(spec)
+        s1, s2 = result.strategy1, result.strategy2
+        assert meeting_probabilities(spec, s1, s2) == oracle_meeting_grid(
+            spec, oracle_moves(s1), oracle_moves(s2)
+        )
+
+    @ORACLE_FIXTURES
+    def test_kth_grid(self, spec):
+        uniform2 = oracle_uniform(2, spec.team2_size)
+        for grid, pure in zip(
+            pure_meeting_grids(spec), enumerate_pure_strategies(spec, 1), strict=True
+        ):
+            assert grid == oracle_meeting_grid(spec, oracle_moves(pure), uniform2)
+
+    def test_matching_distribution(self):
+        spec = random_square_spec(random.Random("oracle-square"), 3, 6, "UM")
+        uniform1, uniform2 = oracle_uniform(1, 3), oracle_uniform(2, 3)
+        assert matching_distribution(
+            spec, uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+        ) == oracle_matching_distribution(spec, uniform1, uniform2)
+        result = solve(spec)
+        s1, s2 = result.strategy1, result.strategy2
+        assert matching_distribution(spec, s1, s2) == oracle_matching_distribution(
+            spec, oracle_moves(s1), oracle_moves(s2)
+        )
+        solver_uniform2 = uniform_strategy(spec, 2)
+        for pure in enumerate_pure_strategies(spec, 1):
+            assert matching_distribution(
+                spec, pure, solver_uniform2
+            ) == oracle_matching_distribution(spec, oracle_moves(pure), uniform2)
 
 
 class TestMaxMeetingProbability:
