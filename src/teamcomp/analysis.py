@@ -617,13 +617,13 @@ def check_lemma6(c_max: int) -> CheckReport:
             witnesses.append(f"{tag}: loosening the threshold lowered the value")
         if a < up and b < down:
             result = roots[(c, a, b)]
-            game = stage_matrix(result.spec, result.value_table, ROOT_CLASS)
+            payoff = stage_matrix(result.spec, result.value_table, ROOT_CLASS).payoff
             strong = c - a
             for i in range(result.spec.team1_size):
                 expected = values[(c, a + 1, b)] if i < strong else values[(c, a, b + 1)]
-                if game.payoff[i][i] != expected:
+                if payoff[i][i] != expected:
                     witnesses.append(
-                        f"{tag}: diagonal cell {i} is {game.payoff[i][i]}, "
+                        f"{tag}: diagonal cell {i} is {payoff[i][i]}, "
                         f"reduced contest is worth {expected}"
                     )
     return CheckReport(

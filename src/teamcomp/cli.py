@@ -200,13 +200,16 @@ def _cmd_simulate(args) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
+def _rounds_flag(rounds: int, least: int) -> int:
+    """``--T`` itself when it is a whole number from ``least`` to the player limit."""
+    if _whole(rounds, "--T", least) > MAX_PLAYERS:
+        raise ValidationError(f"--T={rounds} exceeds the {MAX_PLAYERS}-player limit", "SIZE")
+    return rounds
+
+
 def _rounds_pool(args, default: list[int]) -> list[int]:
     """Round counts a suite draws from: ``--T`` alone when given."""
-    if args.T is None:
-        return default
-    if _whole(args.T, "--T", 1) > MAX_PLAYERS:
-        raise ValidationError(f"--T={args.T} exceeds the {MAX_PLAYERS}-player limit", "SIZE")
-    return [args.T]
+    return default if args.T is None else [_rounds_flag(args.T, 1)]
 
 
 def _generated(args, suite: str, default_rounds: list[int], build):
@@ -330,7 +333,7 @@ def _cmd_sweep(args) -> int:
     config = explorer.SearchConfig(
         seed=args.seed,
         instances=args.instances,
-        t_range=(2, args.T) if args.T is not None else (2, 3),
+        t_range=(2, 3) if args.T is None else (2, _rounds_flag(args.T, 2)),
         utility=args.utility or "UM",
         max_recruits=args.max_recruits,
     )
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="search recruiting gains over random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--T", type=int, help="largest round count to sample")
+    p.add_argument("--T", type=int, help="largest round count to sample (at least 2)")
     p.add_argument("--utility", choices=["UE", "UM"])
     p.add_argument("--max-recruits", type=int, dest="max_recruits")
     p.add_argument("--out", help="write the per-record CSV here")

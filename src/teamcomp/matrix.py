@@ -1,9 +1,11 @@
 """Exact solver for finite two-player zero-sum matrix games.
 
-The row player maximizes, the column player minimizes.  Games with a pure
-saddle point are settled by a direct scan; everything else goes through one
-primal simplex with Bland's anti-cycling rule, so output is deterministic and
-the minimax value is exact.
+The row player maximizes, the column player minimizes.  A game is held as
+integer cells over one positive denominator, so every comparison and every
+pivot works on integers and only the returned value and weights are
+fractions.  Games with a pure saddle point are settled by a direct scan of
+the cells; everything else goes through one primal simplex with Bland's
+anti-cycling rule, so output is deterministic and the minimax value is exact.
 
 The LP uses the classic positivization transform.  Shift the payoff matrix by
 a constant until every entry is positive, then solve
@@ -16,22 +18,30 @@ vector, read off the slack columns of the final objective row, rescaled the
 same way.  Undoing the shift yields the original value.
 
 The simplex runs on integers (Edmonds 1967; Bareiss 1968): each constraint
-row is scaled by the lcm of its own denominators, and each pivot divides
-exactly by the previous pivot, so no pivot takes a gcd; only the returned
-fractions are reduced.  It takes exactly the pivots of Bland's rule on the
-rational tableau.  Scaling a row by a positive number rescales its slack but
-changes no sign of a reduced cost and no order of the ratios, and the common
-denominator of the integer tableau, the previous pivot, is always positive.
+row, the shifted cells and the denominator, is divided by its own gcd, and
+each pivot divides exactly by the previous pivot, so no pivot takes a gcd.
+It takes exactly the pivots of Bland's rule on the rational tableau.  Scaling
+a row by a positive number rescales its slack but changes no sign of a
+reduced cost and no order of the ratios, and the common denominator of the
+integer tableau, the previous pivot, is always positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .model import RationalLike, ValidationError, _parse_rows, _whole, parse_rational
+from .model import (
+    RationalLike,
+    ValidationError,
+    _integer_form,
+    _parse_rows,
+    _whole,
+    parse_rational,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,21 +49,29 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class MatrixGame:
-    """Payoff grid for the row player (the maximizer)."""
+    """Payoff grid for the row player (the maximizer): ``cells[i][j] / den``,
+    with ``den`` positive."""
 
-    payoff: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
+    den: int
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "MatrixGame":
-        return MatrixGame(_parse_rows(rows, "payoff"))
+        return MatrixGame(*_integer_form(_parse_rows(rows, "payoff")))
+
+    @property
+    def payoff(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The cells as reduced fractions, row by row."""
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.cells)
 
     @property
     def rows(self) -> int:
-        return len(self.payoff)
+        return len(self.cells)
 
     @property
     def cols(self) -> int:
-        return len(self.payoff[0])
+        return len(self.cells[0])
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,9 @@ class MatrixSolution:
     col_strategy: tuple[Fraction, ...]
 
 
-def _validate_distribution(weights: Sequence[RationalLike], size: int) -> list[Fraction]:
+def _distribution(weights: Sequence[RationalLike], size: int) -> tuple[tuple[int, ...], int]:
+    """A validated mixture over ``size`` lines as integer weights over their
+    lcm (DIST unless it has ``size`` nonnegative weights summing to 1)."""
     if len(weights) != size:
         raise ValidationError(
             f"distribution has {len(weights)} weights, expected {size}", "DIST"
@@ -79,7 +99,8 @@ def _validate_distribution(weights: Sequence[RationalLike], size: int) -> list[F
         raise ValidationError("distribution weights must be nonnegative", "DIST")
     if sum(parsed) != 1:
         raise ValidationError("distribution weights must sum to exactly 1", "DIST")
-    return parsed
+    (ints,), scale = _integer_form([parsed])
+    return ints, scale
 
 
 def solve_matrix(game: MatrixGame) -> MatrixSolution:
@@ -88,46 +109,47 @@ def solve_matrix(game: MatrixGame) -> MatrixSolution:
     Deterministic: a fixed scan order picks among pure saddle points and
     Bland's rule fixes every simplex pivot.
     """
-    payoff = game.payoff
-    n_rows, n_cols = game.rows, game.cols
+    cells, den = game.cells, game.den
 
-    # Pure saddle point: maximin meets minimax without mixing.
-    row_mins = [min(row) for row in payoff]
+    # Pure saddle point: maximin meets minimax without mixing.  Scaling by
+    # den > 0 keeps every comparison, so the integer cells pick the same one.
+    row_mins = [min(row) for row in cells]
     maximin = max(row_mins)
-    col_maxs = [max(payoff[i][j] for i in range(n_rows)) for j in range(n_cols)]
+    col_maxs = [max(col) for col in zip(*cells)]
     minimax = min(col_maxs)
     if maximin == minimax:
         i_star = row_mins.index(maximin)
         j_star = col_maxs.index(minimax)
-        row = tuple(_ONE if i == i_star else _ZERO for i in range(n_rows))
-        col = tuple(_ONE if j == j_star else _ZERO for j in range(n_cols))
-        return MatrixSolution(maximin, row, col)
+        row = tuple(_ONE if i == i_star else _ZERO for i in range(len(row_mins)))
+        col = tuple(_ONE if j == j_star else _ZERO for j in range(len(col_maxs)))
+        return MatrixSolution(Fraction(maximin, den), row, col)
 
-    return _simplex(payoff, _ONE - min(row_mins))  # the shift makes every entry >= 1 > 0
+    return _simplex(cells, den, den - min(row_mins))  # every shifted cell is >= den > 0
 
 
-def _simplex(payoff: Sequence[Sequence[Fraction]], shift: Fraction) -> MatrixSolution:
-    """Bland's simplex on the game ``payoff + shift``, whose entries are positive.
+def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSolution:
+    """Bland's simplex on the game ``(cells + lift) / scale``, whose entries
+    are positive.
 
     The condensed tableau keeps one row per constraint, then the objective
     row, and one column per nonbasic variable, then the right-hand side.
     Variables ``0..n-1`` are the column weights w, ``n..n+m-1`` the slacks.
     Every entry is an integer over the common denominator ``den``, the
-    previous pivot, which is always positive.  Row i starts scaled by
-    ``scales[i]``, the lcm of its own denominators, so its right-hand side is
-    ``scales[i]`` and its slack coefficient 1.
+    previous pivot, which is always positive.  Row i starts as the shifted
+    cells and ``scale`` divided by their gcd, so its right-hand side is
+    ``rhs[i]`` and its slack coefficient 1.
 
     Every entry being positive, the LP is bounded and some row always leaves;
     Bland's rule never revisits a basis, so the loop ends.
     """
-    n_rows, n_cols = len(payoff), len(payoff[0])
-    scales = []
+    n_rows, n_cols = len(cells), len(cells[0])
+    rhs = []
     tableau = []
-    for line in payoff:
-        scale = lcm(shift.denominator, *(a.denominator for a in line))
-        lift = shift.numerator * (scale // shift.denominator)
-        tableau.append([a.numerator * (scale // a.denominator) + lift for a in line] + [scale])
-        scales.append(scale)
+    for line in cells:
+        shifted = [c + lift for c in line]
+        g = gcd(scale, *shifted)
+        rhs.append(scale // g)
+        tableau.append([c // g for c in shifted] + [rhs[-1]])
     tableau.append([-1] * n_cols + [0])
     basis = list(range(n_cols, n_cols + n_rows))
     nonbasic = list(range(n_cols))
@@ -175,8 +197,9 @@ def _simplex(payoff: Sequence[Sequence[Fraction]], shift: Fraction) -> MatrixSol
     for j, var in enumerate(nonbasic):
         if var >= n_cols:
             i = var - n_cols
-            row_strategy[i] = Fraction(scales[i] * objective[j], total)
-    return MatrixSolution(Fraction(den, total) - shift, tuple(row_strategy), tuple(col_strategy))
+            row_strategy[i] = Fraction(rhs[i] * objective[j], total)
+    value = Fraction(den * scale - lift * total, total * scale)  # den/total - lift/scale
+    return MatrixSolution(value, tuple(row_strategy), tuple(col_strategy))
 
 
 def row_dominates(game: MatrixGame, i: int, j: int) -> bool:
@@ -185,7 +208,7 @@ def row_dominates(game: MatrixGame, i: int, j: int) -> bool:
     _whole(j, "row index", 0)
     if max(i, j) >= game.rows:
         raise ValidationError(f"row index out of range: {i}, {j}", "INDEX")
-    row_i, row_j = game.payoff[i], game.payoff[j]
+    row_i, row_j = game.cells[i], game.cells[j]
     return all(a >= b for a, b in zip(row_i, row_j))
 
 
@@ -196,22 +219,19 @@ def col_dominates(game: MatrixGame, i: int, j: int) -> bool:
     _whole(j, "column index", 0)
     if max(i, j) >= game.cols:
         raise ValidationError(f"column index out of range: {i}, {j}", "INDEX")
-    return all(row[i] <= row[j] for row in game.payoff)
+    return all(row[i] <= row[j] for row in game.cells)
 
 
 def best_row_response_value(game: MatrixGame, col_strategy: Sequence[RationalLike]) -> Fraction:
     """Best payoff the row player can extract against a fixed column mixture."""
-    weights = _validate_distribution(col_strategy, game.cols)
-    return max(
-        sum((w * c for w, c in zip(weights, row)), _ZERO) for row in game.payoff
-    )
+    weights, scale = _distribution(col_strategy, game.cols)
+    best = max(sum(map(mul, weights, row)) for row in game.cells)
+    return Fraction(best, scale * game.den)
 
 
 def best_col_response_value(game: MatrixGame, row_strategy: Sequence[RationalLike]) -> Fraction:
     """Lowest payoff the column player can force against a fixed row mixture;
     equivalently, the guarantee that row mixture locks in."""
-    weights = _validate_distribution(row_strategy, game.rows)
-    return min(
-        sum((w * game.payoff[i][j] for i, w in enumerate(weights)), _ZERO)
-        for j in range(game.cols)
-    )
+    weights, scale = _distribution(row_strategy, game.rows)
+    best = min(sum(map(mul, weights, col)) for col in zip(*game.cells))
+    return Fraction(best, scale * game.den)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
 #: Upper bound on players per team so subset keys fit comfortably in a pair of
@@ -182,6 +184,15 @@ def _parse_rows(
     return tuple(parsed)
 
 
+def _integer_form(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows and one positive denominator, the lcm of the cells' own,
+    whose quotient is ``rows``."""
+    den = lcm(*(q.denominator for row in rows for q in row))
+    return tuple(tuple(q.numerator * (den // q.denominator) for q in row) for row in rows), den
+
+
 @dataclass(frozen=True)
 class StrengthMatrix:
     """Win probabilities from Team 1's side.
@@ -214,6 +225,12 @@ class StrengthMatrix:
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(weights, scale)`` with ``entries[i][j] == weights[i][j] / scale``;
+        built once per matrix."""
+        return _integer_form(self.entries)
 
 
 @dataclass(frozen=True)

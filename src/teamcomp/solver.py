@@ -6,6 +6,10 @@ rather than raw move sequences.  Levels run from the terminal round downward;
 each non-terminal class is summarized by one small zero-sum matrix game whose
 cells blend the two successor values by the match-win probability, and the
 equilibrium mixtures of those stage games assemble the behavioral strategies.
+A stage game is built in integers: with each win probability written a/Dp
+over the strength matrix's one denominator Dp and the successor values over
+the lcm D of their denominators, a cell is a*V_win + (Dp - a)*V_loss over
+D*Dp.
 Translates share one game: two win counts at the same played sets whose
 remaining utilities differ by a constant c have stage games that differ by c
 in every cell, so the later class takes the earlier one's strategies and its
@@ -22,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Iterator, Mapping, Union
 
 from .matrix import MatrixGame, solve_matrix
@@ -93,18 +97,6 @@ def _successors(
     return ((HistoryClassKey(xm, ym, wins + 1), p), (HistoryClassKey(xm, ym, wins), 1 - p))
 
 
-def _blend(
-    values: Mapping[HistoryClassKey, Fraction], xm: int, ym: int, wins: int, p: Fraction
-) -> Fraction:
-    """Expected successor value of a match won with probability ``p``; the
-    masks ``xm``/``ym`` already include the two players who met."""
-    if p == 1:
-        return values[(xm, ym, wins + 1)]
-    if p == 0:
-        return values[(xm, ym, wins)]
-    return p * values[(xm, ym, wins + 1)] + (1 - p) * values[(xm, ym, wins)]
-
-
 def _reach(spec: GameSpec, key: HistoryClassKey, team: int, pick: int) -> set[HistoryClassKey]:
     """Classes one round after ``key`` when ``team`` commits ``pick`` and the
     other team commits any of its unused players."""
@@ -140,22 +132,41 @@ def stage_matrix(
 
     Rows are Team 1's unused players in ascending index order, columns Team
     2's.  The (i, j) cell is the win-value weighted by the match probability
-    plus the loss-value weighted by its complement.
+    plus the loss-value weighted by its complement.  With the probability
+    written ``a / Dp`` over the strength matrix's one denominator ``Dp`` and
+    the successor values over the lcm ``D`` of the denominators of those that
+    carry weight, the cell is the integer ``a * V_win + (Dp - a) * V_loss``
+    over ``D * Dp``.
     """
     m, n = spec.team1_size, spec.team2_size
     xm, ym, wins = key
     k = key.round_index
     if k >= spec.rounds:
         raise TerminalClassError(f"class at round {k} of {spec.rounds} has no stage game")
-    strength = spec.strength.entries
+    weights, scale = spec.strength.integer_form
     cols = [(j, ym | (1 << j)) for j in unplayed(ym, n)]
-    payoff = []
+    # Each cell starts from one successor value at full weight, the win-value
+    # when a == Dp and the loss-value otherwise; a cell whose match can go
+    # either way is then moved by a * (V_win - V_loss).
+    bases: list[Fraction] = []
+    swings: list[tuple[int, int, Fraction]] = []  # (cell, a, V_win)
     for i in unplayed(xm, m):
-        xm_next, row = xm | (1 << i), strength[i]
-        payoff.append(
-            tuple([_blend(values, xm_next, ym_next, wins, row[j]) for j, ym_next in cols])
-        )
-    return MatrixGame(tuple(payoff))
+        xm_next, row = xm | (1 << i), weights[i]
+        for j, ym_next in cols:
+            a = row[j]
+            bases.append(values[(xm_next, ym_next, wins + 1 if a == scale else wins)])
+            if 0 < a < scale:
+                swings.append((len(bases) - 1, a, values[(xm_next, ym_next, wins + 1)]))
+    ratios = [v.as_integer_ratio() for v in bases]
+    swing_ratios = [v.as_integer_ratio() for _k, _a, v in swings]
+    common = lcm(*[d for _n, d in ratios], *[d for _n, d in swing_ratios])
+    scaled = [num * (common // d) for num, d in ratios]
+    flat = [scale * v for v in scaled]
+    for (at, a, _v), (num, d) in zip(swings, swing_ratios):
+        flat[at] += a * (num * (common // d) - scaled[at])
+    width = len(cols)
+    cells = tuple(tuple(flat[start : start + width]) for start in range(0, len(flat), width))
+    return MatrixGame(cells, common * scale)
 
 
 def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveResult:

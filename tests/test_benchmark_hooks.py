@@ -7,7 +7,13 @@ layer's metrics then read zero, so every binding site is checked here.
 
 import importlib
 import sys
+from math import comb
 from pathlib import Path
+
+import pytest
+
+from teamcomp import solver
+from teamcomp.instances import named_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +39,40 @@ def test_tracer_binds_every_site():
         installed.uninstall()
     for (short, attr), original in originals.items():
         assert getattr(importlib.import_module(f"teamcomp.{short}"), attr) is original
+
+
+@pytest.mark.parametrize("utility", ["UE", "UM"])
+def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utility):
+    # The tracer's stage-matrix and matrix metrics come from wrapping
+    # ``solver.stage_matrix`` and ``solver.solve_matrix``; a solve that built
+    # or solved a stage game any other way would read zero there.  Each game
+    # solved must come from the call just before it, once per decision class
+    # that is not a translate of a lower win count at its round.
+    spec = named_instance("ex3", utility)
+    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+    utility_values = spec.utility.values
+    events = []
+    build, solve_game = solver.stage_matrix, solver.solve_matrix
+
+    def counting_build(*args):
+        game = build(*args)
+        events.append(("stage_matrix", game))
+        return game
+
+    def counting_solve(game):
+        events.append(("solve_matrix", game))
+        return solve_game(game)
+
+    monkeypatch.setattr(solver, "stage_matrix", counting_build)
+    monkeypatch.setattr(solver, "solve_matrix", counting_solve)
+    solver.solve(spec)
+
+    solved = 0
+    for k in range(rounds):
+        shapes = set()
+        for wins in range(k + 1):
+            rest = utility_values[wins : wins + rounds - k + 1]
+            shapes.add(tuple(u - rest[0] for u in rest))
+        solved += comb(m, k) * comb(n, k) * len(shapes)
+    assert [name for name, _game in events] == ["stage_matrix", "solve_matrix"] * solved
+    assert all(built is used for (_, built), (_, used) in zip(events[::2], events[1::2]))

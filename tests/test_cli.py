@@ -439,6 +439,20 @@ class TestSweepCommand:
         assert out == ""
         assert "error[SIZE]" in err
 
+    @pytest.mark.parametrize("rounds", ["1", "0"])
+    def test_sweep_rounds_below_two_name_the_flag(self, capsys, rounds):
+        code, out, err = run_cli(capsys, "sweep", "--instances", "1", "--T", rounds)
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+        assert f"--T must be >= 2, got {rounds}" in err
+
+    def test_sweep_help_gives_least_rounds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "(at least 2)" in " ".join(capsys.readouterr().out.split())
+
     def test_sweep_unwritable_out_fails_before_sweeping(self, capsys, tmp_path, monkeypatch):
         def refuse(config):
             raise AssertionError("the sweep ran before --out was opened")

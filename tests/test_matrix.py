@@ -24,6 +24,7 @@ from teamcomp.model import (
     format_rational,
     loads_spec,
     make_spec,
+    parse_rational,
 )
 from teamcomp.solver import solve, stage_matrix
 
@@ -227,6 +228,25 @@ class TestBlandTieBreaking:
         g = game(rows)
         assert solve_matrix(g) == MatrixSolution(*expected)
         assert reference(g) == MatrixSolution(*expected)
+
+
+class TestIntegerForm:
+    def test_from_rows_round_trip(self):
+        rows = [
+            ["-3/4", 10**400, "1/7", F(-5, 6)],
+            [F(1, 10**400), "-2/3", 0, "0.25"],
+            [-(10**400), "5", F(-1, 3), "-1/10"],
+        ]
+        g = game(rows)
+        assert g.payoff == tuple(tuple(parse_rational(c) for c in row) for row in rows)
+        assert g.den > 0
+        assert all(type(c) is int for row in g.cells for c in row)
+
+    @given(st.lists(st.lists(small_fraction, min_size=3, max_size=3), min_size=1, max_size=4))
+    def test_payoff_is_cells_over_den(self, rows):
+        g = game(rows)
+        assert g.payoff == tuple(map(tuple, rows))
+        assert g.payoff == tuple(tuple(F(c, g.den) for c in row) for row in g.cells)
 
 
 class TestDominance:

@@ -98,6 +98,40 @@ class TestStageMatrix:
                     expected += (1 - p) * oracle_history_class_value(ex3_um, (i,), (j,), 0)
                 assert opening.payoff[i][j] == expected
 
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    def test_every_class_against_fraction_blend(self, utility):
+        # Strengths over several denominators, with sure wins and sure losses
+        # among them: every cell is p * v(wins+1) + (1-p) * v(wins), blended
+        # here in fractions straight from the value table.
+        strength = [
+            ["0", "1", "1/3", "2/7"],
+            ["5/6", "1/3", "0", "1"],
+            ["2/7", "5/6", "1", "1/3"],
+            ["1", "0", "5/6", "2/7"],
+        ]
+        spec = make_spec(3, strength, utility)
+        assert spec.strength.integer_form[1] == 42
+        values = solve(spec).value_table
+        entries = spec.strength.entries
+        decisions = [key for key in values if key.round_index < spec.rounds]
+        assert len(decisions) == class_count(4, 4, 2)
+        for key in decisions:
+            xm, ym, wins = key
+            rows, cols = unplayed(xm, 4), unplayed(ym, 4)
+            game = stage_matrix(spec, values, key)
+            assert game.den > 0
+            assert (game.rows, game.cols) == (len(rows), len(cols))
+            assert all(type(c) is int for line in game.cells for c in line)
+            expected = []
+            for i in rows:
+                line = []
+                for j in cols:
+                    p = entries[i][j]
+                    after = (xm | 1 << i, ym | 1 << j)
+                    line.append(p * values[(*after, wins + 1)] + (1 - p) * values[(*after, wins)])
+                expected.append(tuple(line))
+            assert game.payoff == tuple(expected)
+
     def test_terminal_error(self, ex1_spec):
         result = solve(ex1_spec)
         terminal = next(k for k in result.value_table if k.round_index == 2)
