@@ -440,7 +440,8 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
         *all* Team-1 strategies at once (always run; complete), and
       * per-strategy meeting grids for every enumerable Team-1 pure adaptive
         strategy, in enumeration order, from one walk down the strategy
-        prefix tree (run when the enumeration fits the budget).
+        prefix tree that plays each prefix through the solver's one forward
+        pass (run when the enumeration fits the budget).
     """
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if n != rounds:

@@ -49,11 +49,23 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class MatrixGame:
-    """Payoff grid for the row player (the maximizer): ``cells[i][j] / den``,
-    with ``den`` positive."""
+    """Payoff grid for the row player (the maximizer): ``cells[i][j] / den``.
+
+    Built only with a whole ``den`` of at least 1 (PARSE or SIZE otherwise)
+    and non-empty rows of one length (SIZE if empty, SHAPE if ragged); the
+    check reads row lengths, never the cells.
+    """
 
     cells: tuple[tuple[int, ...], ...]
     den: int
+
+    def __post_init__(self) -> None:
+        _whole(self.den, "denominator", 1)
+        widths = set(map(len, self.cells))
+        if not widths or 0 in widths:
+            raise ValidationError("payoff needs at least one row and one column", "SIZE")
+        if len(widths) > 1:
+            raise ValidationError("payoff rows must all have the same length", "SHAPE")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "MatrixGame":

@@ -410,27 +410,20 @@ def unplayed(mask: int, size: int) -> list[int]:
 
 @dataclass(frozen=True)
 class BehavioralStrategy:
-    """Class-based mixed selection rule.
+    """Class-based selection rule, mixed or pure; also named ``PureAdaptiveStrategy``.
 
-    Maps each history class where the team moves to a probability
-    distribution over that team's unused players.  Weights are exact, must be
-    nonnegative, and must sum to one wherever the strategy is queried.
+    Maps each history class where the team moves to a player number (a pure
+    move) or a ``{player: weight}`` mixture over that team's unused players,
+    with exact nonnegative weights that sum to one wherever it is queried.  A
+    pure strategy, one with degenerate mixtures under perfect recall (Kuhn
+    1953), moves by player numbers on the classes its own earlier picks reach.
     """
 
     team: int
-    moves: Mapping[HistoryClassKey, Mapping[int, Fraction]]
+    moves: Mapping[HistoryClassKey, Union[int, Mapping[int, Fraction]]]
 
 
-@dataclass(frozen=True)
-class PureAdaptiveStrategy:
-    """Deterministic selection rule.
-
-    Defined on the history classes consistent with its own earlier picks;
-    this is the enumeration unit for brute-force verification.
-    """
-
-    team: int
-    moves: Mapping[HistoryClassKey, int]
+PureAdaptiveStrategy = BehavioralStrategy
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GameSpec, HistoryClassKey, ValidationError, _whole
-from .solver import Strategy, _distribution_at, _require_team_order
+from .model import BehavioralStrategy, GameSpec, HistoryClassKey, ValidationError, _whole
+from .solver import _distribution_at, _require_team_order
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class SimulationEstimate:
 
 def simulate_competitions(
     spec: GameSpec,
-    strategy1: Strategy,
-    strategy2: Strategy,
+    strategy1: BehavioralStrategy,
+    strategy2: BehavioralStrategy,
     exact_value: Fraction,
     samples: int,
     seed: int,
@@ -60,7 +60,7 @@ def simulate_competitions(
     # Per-class sampling tables built lazily: (players, cumulative weights).
     tables: dict[tuple[int, HistoryClassKey], tuple[list[int], list[float]]] = {}
 
-    def sampler(strategy: Strategy, key: HistoryClassKey):
+    def sampler(strategy: BehavioralStrategy, key: HistoryClassKey):
         cache_key = (strategy.team, key)
         table = tables.get(cache_key)
         if table is None:

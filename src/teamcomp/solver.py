@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm, prod
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -41,6 +41,7 @@ from .model import (
     ROOT_CLASS,
     TerminalClassError,
     ValidationError,
+    _exact,
     _whole,
     player_label,
     unplayed,
@@ -56,8 +57,7 @@ DEFAULT_CLASS_BUDGET = 50_000_000
 #: may yield.
 DEFAULT_ENUM_BUDGET = 200_000
 
-Strategy = Union[BehavioralStrategy, PureAdaptiveStrategy]
-#: A finished contest: the sorted (i, j) pairs that met and the terminal class.
+#: A contest some rounds in: the sorted (i, j) pairs that met and its class.
 _Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
 #: The classes of one round where a pure strategy's own picks lead, sorted.
 _Frontier = tuple[HistoryClassKey, ...]
@@ -252,7 +252,7 @@ def _require_no_spares(spec: GameSpec) -> None:
         )
 
 
-def _require_team_order(strategy1: Strategy, strategy2: Strategy) -> None:
+def _require_team_order(strategy1: BehavioralStrategy, strategy2: BehavioralStrategy) -> None:
     """The one play-order rule: Team 1's strategy first, Team 2's second
     (PARSE otherwise)."""
     if strategy1.team != 1 or strategy2.team != 2:
@@ -260,11 +260,12 @@ def _require_team_order(strategy1: Strategy, strategy2: Strategy) -> None:
 
 
 def _distribution_at(
-    spec: GameSpec, strategy: Strategy, key: HistoryClassKey
+    spec: GameSpec, strategy: BehavioralStrategy, key: HistoryClassKey
 ) -> dict[int, Fraction]:
-    """Strategy's move distribution at a class, validated against the
-    unplayed players of the strategy's own team, whose roster and played set
-    it reads from ``strategy.team`` (PARSE unless that is 1 or 2)."""
+    """Strategy's move distribution at a class.  The entry's form picks the
+    reading: a player number plays that player, a mapping is a mixture, any
+    other entry is PARSE.  Players pass ``_whole``, weights ``_exact``, and a
+    weighted player must be unplayed on ``strategy.team`` (PARSE unless 1 or 2)."""
     own_size = spec.team_size(strategy.team)
     own_mask = key[strategy.team - 1]
     entry = strategy.moves.get(key)
@@ -273,18 +274,16 @@ def _distribution_at(
             f"strategy for team {strategy.team} has no move at class "
             f"(played1={key.played1:b}, played2={key.played2:b}, wins={key.wins})"
         )
-    if isinstance(strategy, PureAdaptiveStrategy) or isinstance(entry, int):
-        player = int(entry)
-        if not (0 <= player < own_size) or (own_mask >> player) & 1:
-            raise CoverageError(
-                f"strategy picks unavailable player {player_label(strategy.team, player)}"
-            )
-        return {player: _ONE}
-    total = _ZERO
+    if isinstance(entry, int):
+        entry = {entry: 1}
+    elif not isinstance(entry, Mapping):
+        raise ValidationError(f"strategy move must be a player or a mapping: {entry!r}", "PARSE")
+    total = 0
     for player, weight in entry.items():
+        player, weight = _whole(player, "player", 0), _exact(weight)
         if weight < 0:
             raise CoverageError("strategy weights must be nonnegative")
-        if weight > 0 and (not (0 <= player < own_size) or (own_mask >> player) & 1):
+        if weight and (player >= own_size or (own_mask >> player) & 1):
             raise CoverageError(
                 f"strategy puts weight on unavailable player "
                 f"{player_label(strategy.team, player)}"
@@ -292,10 +291,10 @@ def _distribution_at(
         total += weight
     if total != 1:
         raise CoverageError(f"strategy weights sum to {total}, expected 1")
-    return {p: w for p, w in entry.items() if w > 0}
+    return {p: w for p, w in entry.items() if w}
 
 
-def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
+def evaluate_fixed(spec: GameSpec, fixed: BehavioralStrategy) -> Fraction:
     """Team-1 value when ``fixed``'s team is frozen and the other team plays a
     best response.
 
@@ -333,18 +332,21 @@ def evaluate_fixed(spec: GameSpec, fixed: Strategy) -> Fraction:
 
 
 def _histories(
-    spec: GameSpec, strategy1: Strategy, strategy2: Strategy
+    spec: GameSpec, strategy1: BehavioralStrategy, strategy2: BehavioralStrategy, rounds: int
 ) -> dict[_Outcome, Fraction]:
-    """Exact distribution over finished contests; probabilities sum to one."""
+    """The one forward pass: exact distribution over contests ``rounds`` rounds
+    in, summing to one.  Each class's two moves are read once per pass."""
     _require_team_order(strategy1, strategy2)
     strength = spec.strength.entries
+    reads: dict[HistoryClassKey, list[dict[int, Fraction]]] = {}
 
     states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
-    for _ in range(spec.rounds):
+    for _ in range(rounds):
         nxt: dict[_Outcome, Fraction] = {}
         for (pairs, key), prob in states.items():
-            dist1 = _distribution_at(spec, strategy1, key)
-            dist2 = _distribution_at(spec, strategy2, key)
+            if key not in reads:
+                reads[key] = [_distribution_at(spec, s, key) for s in (strategy1, strategy2)]
+            dist1, dist2 = reads[key]
             for i, w1 in dist1.items():
                 for j, w2 in dist2.items():
                     move_prob = prob * w1 * w2
@@ -357,7 +359,7 @@ def _histories(
 
 
 def matching_distribution(
-    spec: GameSpec, strategy1: Strategy, strategy2: Strategy
+    spec: GameSpec, strategy1: BehavioralStrategy, strategy2: BehavioralStrategy
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact distribution over complete player matchings.
 
@@ -368,14 +370,14 @@ def matching_distribution(
     """
     _require_no_spares(spec)
     result: dict[tuple[int, ...], Fraction] = {}
-    for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
+    for (pairs, _key), prob in _histories(spec, strategy1, strategy2, spec.rounds).items():
         matching = tuple(j for _i, j in pairs)  # pairs already sorted by i
         result[matching] = result.get(matching, _ZERO) + prob
     return {key: result[key] for key in sorted(result)}
 
 
 def meeting_probabilities(
-    spec: GameSpec, strategy1: Strategy, strategy2: Strategy
+    spec: GameSpec, strategy1: BehavioralStrategy, strategy2: BehavioralStrategy
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact probability grid of player pairs being committed the same round.
 
@@ -383,7 +385,7 @@ def meeting_probabilities(
     at some point of the contest under the two strategies.
     """
     grid = [[_ZERO] * spec.team2_size for _ in range(spec.team1_size)]
-    for (pairs, _key), prob in _histories(spec, strategy1, strategy2).items():
+    for (pairs, _key), prob in _histories(spec, strategy1, strategy2, spec.rounds).items():
         for i, j in pairs:
             grid[i][j] += prob
     return tuple(tuple(row) for row in grid)
@@ -457,25 +459,22 @@ def pure_meeting_grids(
     uniform_strategy(spec, 2))`` for the k-th strategy
     ``enumerate_pure_strategies(spec, 1, budget=budget)`` yields, and
     BudgetExceeded comes at the same point, before any grid.  Each prefix of
-    the enumeration plays its earlier picks forward once, class by class, into
-    reach probabilities and a partial grid; only the last round is expanded
-    per strategy.  A pair meets at most once, so a grid is a sum over rounds.
+    the enumeration plays its earlier picks through ``_histories``, the one
+    forward pass, into reach probabilities and a partial grid; only the last
+    round is expanded per strategy.  A pair meets at most once, so a grid is
+    a sum over rounds.
     """
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    strength = spec.strength.entries
+    m, n = spec.team1_size, spec.team2_size
+    uniform2 = uniform_strategy(spec, 2)
     for frontier, choices, picks in _prefix_walk(spec, 1, budget):
+        # The pass ends before the walk resumes and updates ``picks``.
+        prefix = _histories(spec, PureAdaptiveStrategy(1, picks), uniform2, spec.rounds - 1)
         grid = [[_ZERO] * n for _ in range(m)]
-        reach = {ROOT_CLASS: _ONE}
-        for _ in range(rounds - 1):
-            reach_next: dict[HistoryClassKey, Fraction] = {}
-            for key, prob in reach.items():
-                i, free = picks[key], unplayed(key.played2, n)
-                share = prob / len(free)
-                for j in free:
-                    grid[i][j] += share
-                    for succ, q in _successors(key, i, j, strength[i][j]):
-                        reach_next[succ] = reach_next.get(succ, _ZERO) + share * q
-            reach = reach_next
+        reach: dict[HistoryClassKey, Fraction] = {}
+        for (pairs, key), prob in prefix.items():
+            reach[key] = reach.get(key, _ZERO) + prob
+            for i, j in pairs:
+                grid[i][j] += prob
         # Team 2's unused players at each frontier class, and the chance of
         # reaching the class and meeting any one of them.
         frees = [unplayed(key.played2, n) for key in frontier]

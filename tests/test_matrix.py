@@ -248,6 +248,29 @@ class TestIntegerForm:
         assert g.payoff == tuple(map(tuple, rows))
         assert g.payoff == tuple(tuple(F(c, g.den) for c in row) for row in g.cells)
 
+    @pytest.mark.parametrize(
+        "cells, den, code",
+        [
+            (((1, 2), (0, 3)), -1, "SIZE"),  # would solve to -1; the game is worth -2
+            (((1, 2), (0, 3)), 0, "SIZE"),
+            (((1, 2), (0, 3)), True, "PARSE"),
+            (((1, 2), (0, 3)), 1.0, "PARSE"),
+            (((1, 2), (3,)), 1, "SHAPE"),
+            ((), 1, "SIZE"),
+            (((), ()), 1, "SIZE"),
+        ],
+        ids=["negative-den", "zero-den", "bool-den", "float-den", "ragged", "no-rows", "no-cols"],
+    )
+    def test_built_directly_is_checked(self, cells, den, code):
+        with pytest.raises(ValidationError) as err:
+            MatrixGame(cells, den)
+        assert err.value.code == code
+
+    def test_built_directly_solves_like_from_rows(self):
+        g = MatrixGame(((-1, -2), (0, -3)), 1)
+        assert solve_matrix(g) == solve_matrix(game([[-1, -2], [0, -3]]))
+        assert solve_matrix(g).value == -2
+
 
 class TestDominance:
     def test_componentwise_true(self):

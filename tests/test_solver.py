@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +309,85 @@ class TestEvaluateFixed:
             evaluate_fixed(ex1_spec, BehavioralStrategy(1, bad))
 
 
+def opening_readers(entry):
+    """Every reader of a strategy, each given Team 1's uniform strategy with
+    its root move replaced by ``entry``."""
+    one = make_spec(1, [["1", "0"], ["1/2", "1"]], "UE")
+    two = make_spec(2, [["1", "0"], ["1/2", "1"]], "UE")
+
+    def opening(spec):
+        moves = dict(uniform_strategy(spec, 1).moves)
+        moves[ROOT_CLASS] = entry
+        return BehavioralStrategy(1, moves)
+
+    return [
+        lambda: evaluate_fixed(one, opening(one)),
+        lambda: meeting_probabilities(one, opening(one), uniform_strategy(one, 2)),
+        lambda: matching_distribution(two, opening(two), uniform_strategy(two, 2)),
+        lambda: simulate_competitions(one, opening(one), uniform_strategy(one, 2), F(0), 5, 0),
+    ]
+
+
+class TestStrategyReads:
+    """One read rule for both move forms: a player number or a mapping of
+    player numbers to exact weights, and a typed error for anything else."""
+
+    @pytest.mark.parametrize(
+        "entry, code",
+        [
+            ({0: 0.5, 1: 0.5}, "PARSE"),  # float weights once leaked float values
+            (1.7, "PARSE"),
+            ("1", "PARSE"),
+            (True, "PARSE"),
+            (1.0, "PARSE"),
+            ({True: F(1)}, "PARSE"),
+            ({"0": F(1)}, "PARSE"),
+            ({0: "1"}, "PARSE"),
+            ([0], "PARSE"),
+            (-1, "SIZE"),
+            ({-1: F(1)}, "SIZE"),
+        ],
+        ids=[
+            "float-weights",
+            "float-pick",
+            "str-pick",
+            "bool-pick",
+            "integral-float-pick",
+            "bool-key",
+            "str-key",
+            "str-weight",
+            "list-entry",
+            "negative-pick",
+            "negative-key",
+        ],
+    )
+    def test_refused_entries(self, entry, code):
+        for read in opening_readers(entry):
+            with pytest.raises(ValidationError) as err:
+                read()
+            assert err.value.code == code
+
+    def test_pure_strategy_reads_a_mixture_entry(self):
+        assert PureAdaptiveStrategy is BehavioralStrategy
+        spec = make_spec(1, [["1", "0"], ["1/2", "1"]], "UE")
+        mixed = PureAdaptiveStrategy(1, {ROOT_CLASS: {0: F(1)}})
+        pure = PureAdaptiveStrategy(1, {ROOT_CLASS: 0})
+        assert evaluate_fixed(spec, mixed) == evaluate_fixed(spec, pure) == F(-1, 2)
+
+    def test_exact_weights_give_exact_values(self):
+        spec = make_spec(1, [["1", "0"], ["1/2", "1"]], "UE")
+        half = BehavioralStrategy(1, {ROOT_CLASS: {0: F(1, 2), 1: F(1, 2)}})
+        value = evaluate_fixed(spec, half)
+        grid = meeting_probabilities(spec, half, uniform_strategy(spec, 2))
+        assert type(value) is F and value == 0
+        assert all(type(q) is F for row in grid for q in row)
+        pure1 = PureAdaptiveStrategy(1, {ROOT_CLASS: 0})
+        pure2 = PureAdaptiveStrategy(2, {ROOT_CLASS: 1})
+        grid = meeting_probabilities(spec, pure1, pure2)
+        assert grid == ((0, 1), (0, 0)) and all(type(q) is F for row in grid for q in row)
+        assert type(evaluate_fixed(spec, pure2)) is F
+
+
 class TestUniformStrategy:
     def test_root_weights(self, card_spec):
         dist = uniform_strategy(card_spec, 1).moves[ROOT_CLASS]
@@ -600,6 +681,43 @@ class TestForwardOracle:
             assert matching_distribution(
                 spec, pure, solver_uniform2
             ) == oracle_matching_distribution(spec, oracle_moves(pure), uniform2)
+
+    def test_mixed_move_forms(self):
+        # One strategy per team whose entries mix both forms: Team 1 plays
+        # its equilibrium mixtures except for a player number at every
+        # round-1 class, Team 2 a player number at the root, then uniform.
+        spec = random_square_spec(random.Random("oracle-square"), 3, 6, "UM")
+        moves1 = dict(solve(spec).strategy1.moves)
+        for key in moves1:
+            if key.round_index == 1:
+                moves1[key] = max(moves1[key])
+        moves2 = dict(uniform_strategy(spec, 2).moves)
+        moves2[ROOT_CLASS] = 2
+        s1, s2 = BehavioralStrategy(1, moves1), BehavioralStrategy(2, moves2)
+        assert {type(entry) for entry in moves1.values()} == {int, dict}
+        assert meeting_probabilities(spec, s1, s2) == oracle_meeting_grid(
+            spec, oracle_moves(s1), oracle_moves(s2)
+        )
+        assert matching_distribution(spec, s1, s2) == oracle_matching_distribution(
+            spec, oracle_moves(s1), oracle_moves(s2)
+        )
+
+
+def test_only_three_walks_play_the_match_rule():
+    # One forward pass: ``_successors`` is called from ``_reach`` (the prefix
+    # walk's step), ``evaluate_fixed`` and ``_histories`` alone, so every
+    # other forward play, the meeting grids' included, goes through them.
+    callers = set()
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_successors":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {
+        ("solver.py", "_reach"),
+        ("solver.py", "evaluate_fixed"),
+        ("solver.py", "_histories"),
+    }
 
 
 class TestMaxMeetingProbability:
