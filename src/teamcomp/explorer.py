@@ -215,6 +215,7 @@ def max_gain(
 ) -> GainRecord:
     """Solve the contest with 0..max_recruits extra always-losing players and
     report the best value with the smallest recruit count achieving it."""
+    _whole(max_recruits, "recruit cap", 0)
     base = solve(spec).root_value
     best = base
     best_count = 0
@@ -238,13 +239,32 @@ def max_gain(
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """A sweep's inputs and records; the witness and the bound derive from them."""
+
     config: SearchConfig
     records: tuple[GainRecord, ...]
     skipped: tuple[int, ...]
-    max_gain: Fraction
-    witness_index: int | None
-    witness_digest: str | None
-    bound: Fraction
+
+    @property
+    def witness(self) -> GainRecord | None:
+        """The first record with the largest positive gain; a zero gain witnesses nothing."""
+        return max((r for r in self.records if r.gain > 0), key=lambda r: r.gain, default=None)
+
+    @property
+    def max_gain(self) -> Fraction:
+        return self.witness.gain if self.witness else _ZERO
+
+    @property
+    def witness_index(self) -> int | None:
+        return self.witness.index if self.witness else None
+
+    @property
+    def witness_digest(self) -> str | None:
+        return self.witness.digest if self.witness else None
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(1) if self.config.utility == "UE" else Fraction(2, 3)
 
     @property
     def exceeds_bound(self) -> bool:
@@ -295,18 +315,7 @@ def sweep(config: SearchConfig) -> SweepSummary:
             if exc.code not in ("BUDGET", "SIZE"):
                 raise
             skipped.append(index)
-    # The first record with the largest positive gain; a zero gain witnesses nothing.
-    witness = max((r for r in records if r.gain > 0), key=lambda r: r.gain, default=None)
-    bound = Fraction(1) if utility == "UE" else Fraction(2, 3)
-    return SweepSummary(
-        config=config,
-        records=tuple(records),
-        skipped=tuple(skipped),
-        max_gain=witness.gain if witness else _ZERO,
-        witness_index=witness.index if witness else None,
-        witness_digest=witness.digest if witness else None,
-        bound=bound,
-    )
+    return SweepSummary(config, tuple(records), tuple(skipped))
 
 
 CSV_HEADER = "index,T,m,n,utility,recruits_used,base_value,best_value,gain"

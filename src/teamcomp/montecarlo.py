@@ -14,8 +14,9 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .model import BehavioralStrategy, GameSpec, HistoryClassKey, ValidationError, _whole
+from .model import BehavioralStrategy, GameSpec, HistoryClassKey, ValidationError, _exact, _whole
 from .solver import _distribution_at, _require_team_order
 
 
@@ -46,9 +47,14 @@ def simulate_competitions(
     samples: int,
     seed: int,
 ) -> SimulationEstimate:
-    """Play ``samples`` independent contests and summarize Team-1 utility."""
+    """Play ``samples`` independent contests and summarize Team-1 utility.
+
+    Each round draws Team 1's pick, Team 2's pick, then the match outcome."""
     _require_team_order(strategy1, strategy2)
     _whole(samples, "samples", 1)
+    # random.Random seeds an int by its absolute value, so -3 would replay 3.
+    _whole(seed, "seed", 0)
+    exact_value = Fraction(_exact(exact_value))
     # The variance sums squared utilities in floats; that sum must stay finite.
     if any(u * u * samples > sys.float_info.max for u in spec.utility.values):
         raise ValidationError("utility values too large to sample in floats", "RANGE")
@@ -56,35 +62,27 @@ def simulate_competitions(
     win_prob = [[float(p) for p in row] for row in spec.strength.entries]
     utility = [float(u) for u in spec.utility.values]
     rng = random.Random(seed)
-
-    # Per-class sampling tables built lazily: (players, cumulative weights).
-    tables: dict[tuple[int, HistoryClassKey], tuple[list[int], list[float]]] = {}
-
-    def sampler(strategy: BehavioralStrategy, key: HistoryClassKey):
-        cache_key = (strategy.team, key)
-        table = tables.get(cache_key)
-        if table is None:
-            dist = _distribution_at(spec, strategy, key)
-            players = sorted(dist)
-            cums: list[float] = []
-            acc = 0.0
-            for p in players:
-                acc += float(dist[p])
-                cums.append(acc)
-            cums[-1] = 1.0  # guard against float undershoot at the top end
-            table = (players, cums)
-            tables[cache_key] = table
-        players, cums = table
-        return players[bisect_right(cums, rng.random())]
-
-    total = 0.0
-    total_sq = 0.0
+    # Per-class sampling tables, built at a class's first visit: each team's
+    # players ascending and their cumulative weights, the last forced to 1.0.
+    tables: dict[tuple[int, int, int], list[list]] = {}
+    total = total_sq = 0.0
     for _ in range(samples):
         xm = ym = wins = 0
         for _k in range(rounds):
-            key = HistoryClassKey(xm, ym, wins)
-            i = sampler(strategy1, key)
-            j = sampler(strategy2, key)
+            table = tables.get((xm, ym, wins))
+            if table is None:
+                key = HistoryClassKey(xm, ym, wins)
+                table = []
+                for strategy in (strategy1, strategy2):
+                    dist = _distribution_at(spec, strategy, key)
+                    players = sorted(dist)
+                    cums = list(accumulate(float(dist[p]) for p in players))
+                    cums[-1] = 1.0
+                    table += (players, cums)
+                tables[xm, ym, wins] = table
+            players1, cums1, players2, cums2 = table
+            i = players1[bisect_right(cums1, rng.random())]
+            j = players2[bisect_right(cums2, rng.random())]
             if rng.random() < win_prob[i][j]:
                 wins += 1
             xm |= 1 << i
@@ -94,9 +92,6 @@ def simulate_competitions(
         total_sq += value * value
 
     mean = total / samples
-    if samples > 1:
-        variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    else:
-        variance = 0.0
-    stderr = math.sqrt(variance / samples)
+    variance = 0.0 if samples == 1 else (total_sq - samples * mean * mean) / (samples - 1)
+    stderr = math.sqrt(max(0.0, variance) / samples)
     return SimulationEstimate(samples, seed, mean, stderr, exact_value)

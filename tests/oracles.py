@@ -11,6 +11,10 @@ of it) play two strategies by recursion over raw ordered pick sequences and
 match outcomes; a strategy is a function of the ordered history, so no class
 key, mask or successor rule is involved.
 
+``oracle_simulate`` is a reference Monte Carlo sampler: it reads each
+strategy's ``moves`` afresh every round, with no table cache, and makes the
+same draws in the same order as ``simulate_competitions`` must.
+
 ``bland_reference`` is the one oracle that pivots: it pins down which optimal
 mixtures the production solver must return, by running Bland's rule on the
 full tableau over ``Fraction`` (no integer scaling, no condensed columns).
@@ -19,6 +23,9 @@ full tableau over ``Fraction`` (no integer scaling, no condensed columns).
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -289,3 +296,48 @@ def oracle_matching_distribution(spec, move1, move2) -> dict:
         matching = tuple(opponent[i] for i in range(spec.team1_size))
         result[matching] = result.get(matching, ZERO) + prob
     return {key: result[key] for key in sorted(result)}
+
+
+def oracle_simulate(spec, strategy1, strategy2, samples: int, seed: int) -> tuple:
+    """(mean, stderr) of Team-1 utility over ``samples`` sampled contests.
+
+    One ``random.Random(seed)`` draws, each round, Team 1's pick, Team 2's pick
+    and then the match.  A pick reads the move at the (played1, played2, wins)
+    masks: a player number plays that player, a mapping is a mixture whose
+    zero weights are dropped.  The players are sorted, their float weights
+    summed in that order with the last sum set to 1.0, and ``bisect_right``
+    of one draw in those sums picks.
+    """
+    rng = random.Random(seed)
+    strength = spec.strength.entries
+    utility = spec.utility.values
+
+    def pick(strategy, state) -> int:
+        move = strategy.moves[state]
+        mixture = {move: 1} if isinstance(move, int) else {p: w for p, w in move.items() if w}
+        players = sorted(mixture)
+        sums, acc = [], 0.0
+        for p in players:
+            acc += float(mixture[p])
+            sums.append(acc)
+        sums[-1] = 1.0
+        return players[bisect_right(sums, rng.random())]
+
+    total = total_sq = 0.0
+    for _ in range(samples):
+        played1 = played2 = wins = 0
+        for _round in range(spec.rounds):
+            i = pick(strategy1, (played1, played2, wins))
+            j = pick(strategy2, (played1, played2, wins))
+            if rng.random() < float(strength[i][j]):
+                wins += 1
+            played1 |= 1 << i
+            played2 |= 1 << j
+        value = float(utility[wins])
+        total += value
+        total_sq += value * value
+    mean = total / samples
+    if samples == 1:
+        return mean, 0.0
+    variance = (total_sq - samples * mean * mean) / (samples - 1)
+    return mean, math.sqrt(max(0.0, variance) / samples)

@@ -268,6 +268,13 @@ class TestOtherCommands:
         assert out == ""
         assert "error[SIZE]" in err
 
+    def test_simulate_negative_seed_exits_2(self, capsys):
+        # random.Random(-3) would replay seed 3 while reporting "seed": -3.
+        code, out, err = run_cli(capsys, "simulate", "--example", "card", "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert "error[SIZE]" in err
+
     @pytest.mark.parametrize("utility", ["1e400", "1e200"])
     def test_simulate_utility_too_large_for_floats_exits_2(self, capsys, tmp_path, utility):
         # 1e400 overflows float(); 1e200 squares to inf in the variance sum.

@@ -6,7 +6,9 @@ import pytest
 from teamcomp import explorer
 from teamcomp.analysis import abandon
 from teamcomp.explorer import (
+    GainRecord,
     SearchConfig,
+    SweepSummary,
     default_recruit_cap,
     generate_instance,
     max_gain,
@@ -143,6 +145,16 @@ class TestMaxGain:
             trimmed = abandon(spec, 1, [2])
             assert max_gain(trimmed, 2).gain == 0
 
+    @pytest.mark.parametrize(
+        "cap, code",
+        [(1.5, "PARSE"), ("2", "PARSE"), (None, "PARSE"), (True, "PARSE"), (-1, "SIZE")],
+        ids=["float", "str", "none", "bool", "negative"],
+    )
+    def test_recruit_cap_refused(self, card_spec, cap, code):
+        with pytest.raises(ValidationError) as err:
+            max_gain(card_spec, cap)
+        assert err.value.code == code
+
     def test_digest_stable(self, card_spec):
         assert spec_digest(card_spec) == spec_digest(card_spec)
         assert len(spec_digest(card_spec)) == 12
@@ -167,6 +179,23 @@ class TestSweep:
         um = sweep(SearchConfig(seed=1, instances=3, utility="UM"))
         assert ue.bound == F(1)
         assert um.bound == F(2, 3)
+
+    def test_summary_derives_from_records(self):
+        config = SearchConfig(seed=0, instances=4, utility="UE")
+
+        def record(index, best):
+            return GainRecord(index, f"d{index}", 2, 2, 2, "UE", 1, F(0), best)
+
+        records = (record(0, F(1, 3)), record(1, F(1, 2)), record(2, F(1, 2)))
+        summary = SweepSummary(config, records, ())
+        assert summary.witness == records[1]  # the first of the largest gains
+        assert summary.max_gain == F(1, 2)
+        assert (summary.witness_index, summary.witness_digest) == (1, "d1")
+        assert summary.bound == 1 and not summary.exceeds_bound
+        none = SweepSummary(config, (record(0, F(0)),), (3,))
+        assert (none.witness, none.max_gain, none.witness_index) == (None, 0, None)
+        with pytest.raises(AttributeError):
+            summary.max_gain = F(5)
 
     def test_summary_vocabulary(self):
         summary = sweep(SearchConfig(seed=13, instances=10))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from teamcomp import solver
+from teamcomp import montecarlo, solver
 from teamcomp.analysis import (
     abandon,
     add_dominated,
@@ -48,6 +48,7 @@ from oracles import (
     oracle_history_class_value,
     oracle_matching_distribution,
     oracle_meeting_grid,
+    oracle_simulate,
     oracle_uniform,
 )
 
@@ -846,3 +847,93 @@ class TestSimulation:
                 card_spec, result.strategy1, result.strategy2, result.root_value, 10.0, 0
             )
         assert err.value.code == "PARSE"
+
+    @pytest.mark.parametrize(
+        "seed, code",
+        [(None, "PARSE"), ([1], "PARSE"), (True, "PARSE"), (1.0, "PARSE"), (-3, "SIZE")],
+        ids=["none", "list", "bool", "float", "negative"],
+    )
+    def test_seed_refused(self, card_spec, seed, code):
+        # random.Random would sample None from OS entropy and replay -3 as 3.
+        result = solve(card_spec)
+        with pytest.raises(ValidationError) as err:
+            simulate_competitions(
+                card_spec, result.strategy1, result.strategy2, result.root_value, 10, seed
+            )
+        assert err.value.code == code
+
+    @pytest.mark.parametrize(
+        "exact", ["1/3", 0.5, None, True], ids=["str", "float", "none", "bool"]
+    )
+    def test_exact_value_refused(self, card_spec, exact):
+        result = solve(card_spec)
+        with pytest.raises(ValidationError) as err:
+            simulate_competitions(card_spec, result.strategy1, result.strategy2, exact, 10, 0)
+        assert err.value.code == "PARSE"
+
+    def test_int_exact_value_is_a_fraction(self):
+        spec = make_spec(1, [[1]], "UE")
+        result = solve(spec)
+        estimate = simulate_competitions(spec, result.strategy1, result.strategy2, 1, 10, 0)
+        assert estimate.exact_value == 1 and isinstance(estimate.exact_value, Fraction)
+
+
+def mixed_forms(spec, team):
+    """Team's uniform strategy rewritten so that, in class order, moves
+    alternate between a player number and a mixture whose first entry is a
+    zero weight on an available player."""
+    moves = {}
+    for n, (key, dist) in enumerate(sorted(uniform_strategy(spec, team).moves.items())):
+        players = sorted(dist)
+        if n % 2 == 0 or len(players) == 1:
+            moves[key] = players[-1]
+        else:
+            rest = players[1:]
+            moves[key] = {players[0]: F(0), **{p: F(1, len(rest)) for p in rest}}
+    return BehavioralStrategy(team, moves)
+
+
+SIMULATION_CONTESTS = pytest.mark.parametrize(
+    "name, utility", [("card", None), ("ex1", None), ("ex3", "UM")], ids=["card", "ex1", "ex3-UM"]
+)
+
+
+class TestSimulationOracle:
+    """``simulate_competitions`` against ``oracles.oracle_simulate``, which
+    reads the moves afresh every round: the same draws give the same floats."""
+
+    @SIMULATION_CONTESTS
+    @pytest.mark.parametrize("seed", [0, 17, 2024])
+    def test_draw_for_draw(self, name, utility, seed):
+        spec = named_instance(name, utility)
+        result = solve(spec)
+        pairs = {
+            "equilibrium": (result.strategy1, result.strategy2),
+            "uniform": (uniform_strategy(spec, 1), uniform_strategy(spec, 2)),
+            "mixed forms": (mixed_forms(spec, 1), mixed_forms(spec, 2)),
+        }
+        for label, (s1, s2) in pairs.items():
+            estimate = simulate_competitions(spec, s1, s2, result.root_value, 1_500, seed)
+            assert (estimate.mean, estimate.stderr) == oracle_simulate(
+                spec, s1, s2, 1_500, seed
+            ), label
+
+    @SIMULATION_CONTESTS
+    def test_each_class_read_once_per_team(self, name, utility, monkeypatch):
+        spec = named_instance(name, utility)
+        s1, s2 = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
+        reads = []
+        real = montecarlo._distribution_at
+
+        def counted(spec, strategy, key):
+            reads.append((strategy.team, key))
+            return real(spec, strategy, key)
+
+        monkeypatch.setattr(montecarlo, "_distribution_at", counted)
+        for _call in range(2):
+            reads.clear()
+            simulate_competitions(spec, s1, s2, F(0), 2_000, 5)
+            assert reads and len(reads) == len(set(reads))
+            assert {key for team, key in reads if team == 1} == {
+                key for team, key in reads if team == 2
+            }
