@@ -21,7 +21,7 @@ from .matrix import (
     col_dominates,
     row_dominates,
 )
-from .instances import named_instance
+from .instances import default_recruit_cap, named_instance
 from .model import (
     BehavioralStrategy,
     BudgetExceeded,
@@ -43,7 +43,6 @@ from .model import (
 )
 from .solver import (
     DEFAULT_ENUM_BUDGET,
-    SolveResult,
     _require_no_spares,
     enumerate_pure_strategies,
     evaluate_fixed,
@@ -160,11 +159,6 @@ def add_dominated(spec: GameSpec, count: int) -> GameSpec:
     zero_row = tuple([_ZERO] * spec.team2_size)
     rows = spec.strength.entries + tuple([zero_row] * count)
     return GameSpec(spec.rounds, StrengthMatrix(rows), spec.utility)
-
-
-def default_recruit_cap(rounds: int, utility: str) -> int:
-    """The sharp recruit count: T-1 under UE, floor(T/2) under UM."""
-    return rounds - 1 if utility_name(utility) == "UE" else rounds // 2
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +545,7 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     one more strictly improves, and another adds nothing.
     """
     variant = utility_name(variant)
-    if rounds < 2:
+    if _whole(rounds, "T", 1) < 2:
         raise PreconditionError("needs at least two rounds")
     if variant == "UE":
         base, pinned = named_instance(f"ex4:{rounds}"), -Fraction(rounds, 2)
@@ -591,42 +585,38 @@ def check_lemma6(c_max: int) -> CheckReport:
     """
     _whole(c_max, "c_max", 1)
     values: dict[tuple[int, int, int], Fraction] = {}
-    roots: dict[tuple[int, int, int], SolveResult] = {}
     witnesses: list[str] = []
     for c in range(1, c_max + 1):
         up, down = _halves(c)
-        for a in range(up + 1):
-            for b in range(down + 1):
+        # Largest (a, b) first: both contests a contest reduces to are
+        # solved, and checked, before it is.
+        for a in range(up, -1, -1):
+            for b in range(down, -1, -1):
+                tag = f"c={c} a={a} b={b}"
                 params = GammaParams(c, a, b)
                 if params.rounds == 0:
                     # Round-less corner: the threshold is already met, so the
                     # contest is worth exactly +1 without any play.
-                    values[(c, a, b)] = _ONE
-                    continue
-                result = solve(gamma_game(params))
-                values[(c, a, b)] = result.root_value
-                roots[(c, a, b)] = result
-
-    for (c, a, b), value in values.items():
-        tag = f"c={c} a={a} b={b}"
-        up, down = _halves(c)
-        if not value > -1:
-            witnesses.append(f"{tag}: value {value} is not above -1")
-        if a == up and value != 1:
-            witnesses.append(f"{tag}: threshold already met but value is {value}")
-        if a + 1 <= up and values[(c, a + 1, b)] < value:
-            witnesses.append(f"{tag}: loosening the threshold lowered the value")
-        if a < up and b < down:
-            result = roots[(c, a, b)]
-            payoff = stage_matrix(result.spec, result.value_table, ROOT_CLASS).payoff
-            strong = c - a
-            for i in range(result.spec.team1_size):
-                expected = values[(c, a + 1, b)] if i < strong else values[(c, a, b + 1)]
-                if payoff[i][i] != expected:
-                    witnesses.append(
-                        f"{tag}: diagonal cell {i} is {payoff[i][i]}, "
-                        f"reduced contest is worth {expected}"
-                    )
+                    value = _ONE
+                else:
+                    result = solve(gamma_game(params))
+                    value = result.root_value
+                values[(c, a, b)] = value
+                if not value > -1:
+                    witnesses.append(f"{tag}: value {value} is not above -1")
+                if a == up and value != 1:
+                    witnesses.append(f"{tag}: threshold already met but value is {value}")
+                if a < up and values[(c, a + 1, b)] < value:
+                    witnesses.append(f"{tag}: loosening the threshold lowered the value")
+                if a < up and b < down:
+                    payoff = stage_matrix(result.spec, result.value_table, ROOT_CLASS).payoff
+                    for i in range(result.spec.team1_size):
+                        expected = values[(c, a + 1, b)] if i < c - a else values[(c, a, b + 1)]
+                        if payoff[i][i] != expected:
+                            witnesses.append(
+                                f"{tag}: diagonal cell {i} is {payoff[i][i]}, "
+                                f"reduced contest is worth {expected}"
+                            )
     return CheckReport(
         check="lemma6",
         params={"C_max": c_max},

@@ -212,18 +212,42 @@ def _rounds_pool(args, default: list[int]) -> list[int]:
     return default if args.T is None else [_rounds_flag(args.T, 1)]
 
 
-def _generated(args, suite: str, default_rounds: list[int], build):
-    """Yield ``(index, spec)`` for ``--instances`` contests, each drawn from its own
-    ``Random(f"{seed}:{suite}:{index}")``: the round count, then ``build``'s draws."""
-    _whole(args.instances, "--instances", 1)
-    pool = _rounds_pool(args, default_rounds)
-    for index in range(args.instances):
-        rng = random.Random(f"{args.seed}:{suite}:{index}")
-        yield index, build(rng, rng.choice(pool))
+def _square(rng: random.Random, rounds: int) -> GameSpec:
+    return explorer.random_square_spec(rng, rounds, 6, rng.choice(["UE", "UM"]))
+
+
+def _square_ue(rng: random.Random, rounds: int) -> GameSpec:
+    return explorer.random_square_spec(rng, rounds, 6, "UE")
+
+
+def _transitive(rng: random.Random, rounds: int) -> GameSpec:
+    most = max(rounds, min(6, rounds + 2))
+    m = rng.randint(rounds, most)
+    n = rng.randint(rounds, most)
+    return explorer.random_transitive_spec(rng, rounds, m, n, 6, rng.choice(["UE", "UM"]))
 
 
 def _weak_tail(rng: random.Random, rounds: int) -> GameSpec:
     return explorer.random_weak_tail_spec(rng, rounds, rounds + rng.randint(1, 2), 6)
+
+
+# Each seeded suite: its default round counts, its contest builder, and the
+# (name, suffix, checker) entries made from each drawn contest.
+_SEEDED = {
+    "theorem1": ([2, 3, 4], _square, [("theorem1", "", check_theorem1)]),
+    "theorem2": (
+        [2, 3, 4],
+        _transitive,
+        [
+            ("theorem2", "team1", lambda spec: check_theorem2(spec, 1)),
+            ("theorem2", "team2", lambda spec: check_theorem2(spec, 2)),
+            ("corollary1", "", check_corollary1),
+        ],
+    ),
+    "theorem3": ([2, 3], _weak_tail, [("theorem3", "", check_theorem3)]),
+    "lemma2": ([2, 3], _square_ue, [("lemma2", "", check_lemma2)]),
+    "lemma5": ([2, 3], _weak_tail, [("lemma5", "", check_lemma5)]),
+}
 
 
 def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
@@ -235,39 +259,27 @@ def _entry(name: str, report: CheckReport, expected_pass: bool = True) -> dict:
     }
 
 
-def _suite_theorem1(args) -> list[dict]:
-    def build(rng: random.Random, rounds: int) -> GameSpec:
-        return explorer.random_square_spec(rng, rounds, 6, rng.choice(["UE", "UM"]))
-
-    return [
-        _entry(f"theorem1[{index}]", check_theorem1(spec))
-        for index, spec in _generated(args, "theorem1", [2, 3, 4], build)
-    ]
-
-
-def _suite_theorem2(args) -> list[dict]:
-    def build(rng: random.Random, rounds: int) -> GameSpec:
-        most = max(rounds, min(6, rounds + 2))
-        m = rng.randint(rounds, most)
-        n = rng.randint(rounds, most)
-        return explorer.random_transitive_spec(rng, rounds, m, n, 6, rng.choice(["UE", "UM"]))
-
+def _seeded(args, suite: str) -> list[dict]:
+    """Entries for ``--instances`` contests, each drawn from its own
+    ``Random(f"{seed}:{suite}:{index}")``: the round count, then the builder's draws."""
+    default, build, checks = _SEEDED[suite]
+    _whole(args.instances, "--instances", 1)
+    pool = _rounds_pool(args, default)
     entries = []
-    for index, spec in _generated(args, "theorem2", [2, 3, 4], build):
-        entries.append(_entry(f"theorem2[{index}]team1", check_theorem2(spec, 1)))
-        entries.append(_entry(f"theorem2[{index}]team2", check_theorem2(spec, 2)))
-        entries.append(_entry(f"corollary1[{index}]", check_corollary1(spec)))
+    for index in range(args.instances):
+        rng = random.Random(f"{args.seed}:{suite}:{index}")
+        spec = build(rng, rng.choice(pool))
+        for name, suffix, check in checks:
+            entries.append(_entry(f"{name}[{index}]{suffix}", check(spec)))
     return entries
 
 
 def _suite_theorem3(args) -> list[dict]:
-    entries = [
-        _entry(f"theorem3[{index}]", check_theorem3(spec))
-        for index, spec in _generated(args, "theorem3", [2, 3], _weak_tail)
-    ]
     # Majority-scoring contrast: the same structure must NOT preserve value.
     contrast = check_theorem3(named_instance("ex3", "UM"))
-    return entries + [_entry("theorem3[contrast:UM]", contrast, expected_pass=False)]
+    return _seeded(args, "theorem3") + [
+        _entry("theorem3[contrast:UM]", contrast, expected_pass=False)
+    ]
 
 
 def _suite_theorem4(args) -> list[dict]:
@@ -279,43 +291,25 @@ def _suite_theorem4(args) -> list[dict]:
     ]
 
 
-def _suite_lemma2(args) -> list[dict]:
-    def build(rng: random.Random, rounds: int) -> GameSpec:
-        return explorer.random_square_spec(rng, rounds, 6, "UE")
-
-    return [
-        _entry(f"lemma2[{index}]", check_lemma2(spec))
-        for index, spec in _generated(args, "lemma2", [2, 3], build)
-    ]
-
-
-def _suite_lemma5(args) -> list[dict]:
-    return [
-        _entry(f"lemma5[{index}]", check_lemma5(spec))
-        for index, spec in _generated(args, "lemma5", [2, 3], _weak_tail)
-    ]
-
-
 def _suite_lemma6(args) -> list[dict]:
     return [_entry(f"lemma6[Cmax={args.Cmax}]", check_lemma6(args.Cmax))]
 
 
 _SUITES = {
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
+    "theorem1": lambda args: _seeded(args, "theorem1"),
+    "theorem2": lambda args: _seeded(args, "theorem2"),
     "theorem3": _suite_theorem3,
     "theorem4": _suite_theorem4,
-    "lemma2": _suite_lemma2,
-    "lemma5": _suite_lemma5,
+    "lemma2": lambda args: _seeded(args, "lemma2"),
+    "lemma5": lambda args: _seeded(args, "lemma5"),
     "lemma6": _suite_lemma6,
 }
 
 # Each verify option and the suites that read it; ``verify all`` reads every one.
-_SEEDED = {"theorem1", "theorem2", "theorem3", "lemma2", "lemma5"}
 _VERIFY_OPTIONS = {
-    "T": ({"type": int, "help": "restrict to one round count"}, _SEEDED | {"theorem4"}),
-    "instances": ({"type": int, "default": 10}, _SEEDED),
-    "seed": ({"type": int, "default": 0}, _SEEDED),
+    "T": ({"type": int, "help": "restrict to one round count"}, _SEEDED.keys() | {"theorem4"}),
+    "instances": ({"type": int, "default": 10}, _SEEDED.keys()),
+    "seed": ({"type": int, "default": 0}, _SEEDED.keys()),
     "Cmax": ({"type": int, "default": 4}, {"lemma6"}),
     "utility": ({"choices": ["UE", "UM"]}, {"theorem4"}),
 }

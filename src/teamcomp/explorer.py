@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .analysis import add_dominated, default_recruit_cap
+from .analysis import add_dominated
+from .instances import default_recruit_cap
 from .model import (
     GameModelError,
     GameSpec,

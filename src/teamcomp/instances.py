@@ -8,7 +8,7 @@ scalable identity-ladder families used for the recruiting analysis.
 
 from __future__ import annotations
 
-from .model import GameSpec, ValidationError, _check_roster, _whole, make_spec
+from .model import GameSpec, ValidationError, _check_roster, _whole, make_spec, utility_name
 
 
 def card_game() -> GameSpec:
@@ -42,12 +42,20 @@ def _ex3(utility: str) -> GameSpec:
     )
 
 
+def default_recruit_cap(rounds: int, utility: str) -> int:
+    """The sharp recruit count: T-1 under UE, floor(T/2) under UM."""
+    is_ue = utility_name(utility) == "UE"
+    rounds = _whole(rounds, "T", 1)
+    return rounds - 1 if is_ue else rounds // 2
+
+
 def _identity_ladder(rounds: int, utility: str) -> GameSpec:
-    # Identity ladder with T-1 (ex4, expected-wins scoring) or floor(T/2)
-    # (ex5, majority scoring) unbeatable opposing spares.  The stock roster is
-    # pinned at the floor until it recruits enough always-losing decoys.
-    cols = rounds + (rounds - 1 if utility == "UE" else rounds // 2)
-    _check_roster(_whole(rounds, "T", 1), rounds, cols)
+    # Identity ladder with as many unbeatable opposing spares as the sharp
+    # recruit count: T-1 (ex4, expected-wins scoring) or floor(T/2) (ex5,
+    # majority scoring).  The stock roster is pinned at the floor until it
+    # recruits that many always-losing decoys.
+    cols = rounds + default_recruit_cap(rounds, utility)
+    _check_roster(rounds, rounds, cols)
     rows = [[1 if i == j else 0 for j in range(cols)] for i in range(rounds)]
     return make_spec(rounds, rows, utility)
 
@@ -62,6 +70,8 @@ def named_instance(name: str, utility: str | None = None) -> GameSpec:
     an optional utility override ("UE" or "UM", default "UM"), and every
     other name rejects one.
     """
+    if not isinstance(name, str):
+        raise ValidationError(f"an example name must be a string, got {name!r}", "PARSE")
     text = name.strip().lower()
     if utility is not None and text != "ex3":
         raise ValidationError(f"a utility override applies only to ex3, not {name!r}", "PARSE")

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import ceil, comb, floor
+from types import SimpleNamespace
 
 import pytest
 
@@ -384,6 +386,14 @@ class TestTheorem4:
         with pytest.raises(PreconditionError):
             check_theorem4(1, "UE")
 
+    @pytest.mark.parametrize(
+        "rounds, code", [("3", "PARSE"), (2.0, "PARSE"), (True, "PARSE"), (0, "SIZE"), (-3, "SIZE")]
+    )
+    def test_round_count_type(self, rounds, code):
+        with pytest.raises(ValidationError) as err:
+            check_theorem4(rounds, "UE")
+        assert err.value.code == code
+
 
 class TestLemmas:
     def test_lemma2_small(self):
@@ -470,3 +480,173 @@ class TestReports:
         assert set(doc) == {"check", "params", "pass", "witnesses", "values"}
         assert doc["pass"] is True
         assert doc["values"]["root_value"] == "-1/3"
+
+
+def _shift_root(monkeypatch, pick, shift):
+    """Make ``analysis.solve`` add ``shift`` to the root value of every
+    contest ``pick`` selects."""
+    real = analysis.solve
+
+    def shifted(spec, *args, **kwargs):
+        result = real(spec, *args, **kwargs)
+        if not pick(spec):
+            return result
+        return dataclasses.replace(result, root_value=result.root_value + shift)
+
+    monkeypatch.setattr(analysis, "solve", shifted)
+
+
+class TestCheckersCanFail:
+    """Each checker reports a witness when one name it reads lies."""
+
+    def test_theorem1_class_label(self, card_spec, monkeypatch):
+        real = analysis.best_col_response_value
+        monkeypatch.setattr(
+            analysis, "best_col_response_value", lambda game, mix: real(game, mix) - 1
+        )
+        report = check_theorem1(card_spec)
+        assert report.passed is False
+        assert "k=0 X=- Y=- w=0" in report.witnesses
+        assert "k=1 X=A1 Y=B2 w=0" in report.witnesses
+
+    def test_theorem2_value_after_abandoning(self, monkeypatch):
+        spec = random_transitive_spec(random.Random("cor1-unit"), 2, 4, 3, 6, "UE")
+        _shift_root(monkeypatch, lambda s: s.team1_size == 2, F(1))
+        report = check_theorem2(spec, 1)
+        value = report.values["value"]
+        assert report.passed is False
+        assert report.witnesses == [
+            f"value changed after abandoning 2 weak players: {value} vs {value + 1}"
+        ]
+
+    @pytest.mark.parametrize(
+        "team, name, root_witnesses",
+        [
+            (1, "row_dominates", ["A2 fails to dominate A3", "A2 fails to dominate A4"]),
+            (2, "col_dominates", ["B2 fails to dominate B1"]),
+        ],
+    )
+    def test_theorem2_fails_to_dominate(self, monkeypatch, team, name, root_witnesses):
+        spec = random_transitive_spec(random.Random("cor1-unit"), 2, 4, 3, 6, "UE")
+        monkeypatch.setattr(analysis, name, lambda game, a, b: False)
+        report = check_theorem2(spec, team)
+        assert report.passed is False
+        assert all(" fails to dominate " in w for w in report.witnesses)
+        at_root = [w for w in report.witnesses if w.startswith("k=0 X=- Y=- w=0: ")]
+        assert at_root == [f"k=0 X=- Y=- w=0: {w}" for w in root_witnesses]
+
+    def test_corollary1_nonmonotone_precondition(self):
+        spec = make_spec(2, [[1, 1], [1, 0], [0, 0]], ["1", "0", "1"])
+        with pytest.raises(PreconditionError) as err:
+            check_corollary1(spec)
+        assert err.value.code == "PRECOND"
+
+    def test_corollary1_top_block_guarantee(self, monkeypatch):
+        spec = random_transitive_spec(random.Random("cor1-unit"), 2, 4, 3, 6, "UE")
+        real = analysis.evaluate_fixed
+        monkeypatch.setattr(analysis, "evaluate_fixed", lambda s, fixed: real(s, fixed) + 1)
+        report = check_corollary1(spec)
+        value = report.values["root_value"]
+        assert report.passed is False
+        assert report.witnesses == [
+            f"team {team} top-block uniform guarantees {value + 1}, equilibrium value is {value}"
+            for team in (1, 2)
+        ]
+
+    def test_lemma2_skewed_matchings(self, monkeypatch):
+        real = analysis.matching_distribution
+
+        def skewed(spec, strategy1, strategy2):
+            dist = real(spec, strategy1, strategy2)
+            first, second = list(dist)[:2]
+            return {**dist, first: dist[first] + dist[second], second: F(0)}
+
+        monkeypatch.setattr(analysis, "matching_distribution", skewed)
+        spec = random_square_spec(random.Random("l2-unit"), 2, 6, "UE")
+        report = check_lemma2(spec)
+        assert report.passed is False
+        assert report.witnesses == [
+            "strategy #1 skews the matching distribution",
+            "strategy #2 skews the matching distribution",
+        ]
+
+    def _lemma5_peak(self, monkeypatch):
+        monkeypatch.setattr(
+            analysis,
+            "max_meeting_probability",
+            lambda spec, i, j: F(1, spec.rounds) + F(1, 100),
+        )
+        return random_weak_tail_spec(random.Random("l5-unit"), 2, 3, 6)
+
+    def test_lemma5_peak_above_bound(self, monkeypatch):
+        report = check_lemma5(self._lemma5_peak(monkeypatch))
+        assert report.passed is False
+        assert len(report.witnesses) == 6
+        assert report.witnesses[0] == "A1 can meet B1 with probability 51/100 > 1/2"
+        assert report.values["max_meeting_probability"] == F(51, 100)
+
+    def test_lemma5_grid_above_bound(self, monkeypatch):
+        def one_grid(spec, budget):
+            yield [[F(0), F(0)], [F(0), F(3, 4)], [F(0), F(0)]]
+
+        monkeypatch.setattr(analysis, "pure_meeting_grids", one_grid)
+        report = check_lemma5(random_weak_tail_spec(random.Random("l5-unit"), 2, 3, 6))
+        assert report.passed is False
+        assert report.witnesses == ["pure strategy #1 meets (A2, B2) with probability 3/4 > 1/2"]
+        assert report.params["strategies_checked"] == 1
+
+    def test_theorem3_carries_lemma5_witnesses(self, monkeypatch):
+        spec = self._lemma5_peak(monkeypatch)
+        report = check_theorem3(spec)
+        assert report.passed is False
+        assert report.witnesses == check_lemma5(spec).witnesses
+        assert report.values["with_tail"] == report.values["without_tail"]
+
+    @pytest.mark.parametrize(
+        "sizes, shift, witness",
+        [
+            ({2}, F(1), "value with 0 recruits is 0, expected -1"),
+            ({3, 4}, F(-1, 4), "value with 1 recruits is -1, expected > -1"),
+            ({4}, F(1), "extra recruit changed the value: -3/4 vs 1/4"),
+        ],
+    )
+    def test_theorem4_witnesses(self, monkeypatch, sizes, shift, witness):
+        # ex4:2 fields two players, so r recruits make a Team 1 of 2 + r.  The
+        # second case moves the last two roots together, so only one claim breaks.
+        _shift_root(monkeypatch, lambda s: s.team1_size in sizes, shift)
+        report = check_theorem4(2, "UE")
+        assert report.passed is False
+        assert report.witnesses == [witness]
+
+    def test_lemma6_root_at_minus_one(self, monkeypatch):
+        _shift_root(monkeypatch, lambda s: True, F(-2))
+        report = check_lemma6(1)
+        assert report.passed is False
+        assert report.witnesses == ["c=1 a=0 b=0: value -1 is not above -1"]
+
+    def test_lemma6_met_threshold_not_won(self, monkeypatch):
+        met = gamma_game(GammaParams(2, 1, 0))
+        _shift_root(monkeypatch, lambda s: s == met, F(-1, 2))
+        report = check_lemma6(2)
+        assert report.passed is False
+        assert "c=2 a=1 b=0: threshold already met but value is 1/2" in report.witnesses
+
+    def test_lemma6_looser_threshold_lowers_value(self, monkeypatch):
+        tight = gamma_game(GammaParams(2, 0, 0))
+        _shift_root(monkeypatch, lambda s: s == tight, F(5, 2))
+        report = check_lemma6(2)
+        assert report.passed is False
+        assert report.witnesses == ["c=2 a=0 b=0: loosening the threshold lowered the value"]
+
+    def test_lemma6_diagonal_cell(self, monkeypatch):
+        real = analysis.stage_matrix
+
+        def raised(spec, values, key):
+            payoff = [list(row) for row in real(spec, values, key).payoff]
+            payoff[0][0] += 1
+            return SimpleNamespace(payoff=payoff)
+
+        monkeypatch.setattr(analysis, "stage_matrix", raised)
+        report = check_lemma6(2)
+        assert report.passed is False
+        assert report.witnesses == ["c=2 a=0 b=0: diagonal cell 0 is 2, reduced contest is worth 1"]

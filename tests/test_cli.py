@@ -34,6 +34,12 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["root_value"] == "-1/3"
 
+    def test_no_spec_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve")
+        assert code == 2
+        assert out == ""
+        assert err == "error[PARSE]: provide a spec file or --example NAME\n"
+
     def test_full_table(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--example", "ex1", "--full")
         assert code == 0
@@ -207,6 +213,26 @@ class TestOtherCommands:
             assert code == 2
             assert out == ""
             assert err == f"error[PARSE]: bad player number {number!r} (use 1-based integers)\n"
+
+    def test_abandon_delta_skips_empty_chunks(self, capsys):
+        outs = [
+            run_cli(
+                capsys,
+                "abandon-delta", "--example", "ex3", "--utility", "UM", "--players", players,
+            )
+            for players in ("4", "4,,")
+        ]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
+    def test_abandon_delta_player_not_a_number(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "abandon-delta", "--example", "ex3", "--utility", "UM", "--players", "x",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error[PARSE]: bad player number 'x' (use 1-based integers)\n"
 
     def test_abandon_delta_budget_exits_3(self, capsys):
         code, out, err = run_cli(

@@ -244,6 +244,24 @@ class TestSweep:
                 default_recruit_cap(4, name)
             assert info.value.code == "PARSE"
 
+    @pytest.mark.parametrize(
+        "rounds, code", [(3.5, "PARSE"), ("3", "PARSE"), (True, "PARSE"), (0, "SIZE"), (-4, "SIZE")]
+    )
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    def test_default_cap_round_count(self, rounds, utility, code):
+        with pytest.raises(ValidationError) as info:
+            default_recruit_cap(rounds, utility)
+        assert info.value.code == code
+
+    def test_summary_flags_gain_above_bound(self):
+        config = SearchConfig(seed=0, instances=1, utility="UE")
+        record = GainRecord(0, "d0", 2, 2, 2, "UE", 1, F(-1), F(1, 2))
+        doc = SweepSummary(config, (record,), ()).to_document()
+        assert doc["status"] == (
+            "counterexample candidate: observed gain exceeds the conjectured bound"
+        )
+        assert doc["max_gain"] == "3/2"
+
 
 class TestGeneratorHelpers:
     def test_transitive_generator_is_transitive(self):
@@ -253,6 +271,11 @@ class TestGeneratorHelpers:
         for _ in range(10):
             spec = random_transitive_spec(rng, 2, 4, 5, 6, "UE")
             assert all(team.transitive for team in classify(spec))
+
+    def test_weak_tail_needs_spares(self):
+        with pytest.raises(ValidationError) as info:
+            random_weak_tail_spec(random.Random("tail-gen"), 2, 2, 6)
+        assert info.value.code == "SIZE"
 
     def test_weak_tail_generator_structure(self):
         from teamcomp.analysis import weaker_team1

@@ -124,6 +124,11 @@ class TestUtilityTables:
             utility_name(name)
         assert err.value.code == "PARSE"
 
+    def test_empty_table(self):
+        with pytest.raises(ValidationError) as err:
+            UtilityTable.from_values([])
+        assert err.value.code == "SHAPE"
+
     def test_threshold_table_not_antisymmetric(self):
         table = UtilityTable.from_values([-1, -1, 1, 1, 1])
         assert not table.antisymmetric
@@ -305,6 +310,21 @@ class TestSpecDocuments:
         with pytest.raises(ValidationError):
             spec_from_document({"T": 2, "P": [[1, 0], [0, 1]]})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"T": "2", "P": [["1", "0"], ["0", "1"]], "U": "UE"}',
+            '{"T": 1, "P": 5, "U": "UE"}',
+            '{"T": 1, "P": [["1"]], "U": 5}',
+        ],
+        ids=["array", "str-T", "number-P", "number-U"],
+    )
+    def test_refused_documents(self, text):
+        with pytest.raises(ValidationError) as err:
+            loads_spec(text)
+        assert err.value.code == "SHAPE"
+
     def test_wrong_utility_length(self):
         with pytest.raises(ValidationError):
             spec_from_document({"T": 2, "P": [[1, 0], [0, 1]], "U": ["1", "0"]})
@@ -356,3 +376,9 @@ class TestNamedInstances:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             named_instance("nope")
+
+    @pytest.mark.parametrize("name", [5, None, b"card", ["card"], "ex4:x", "ex5:", "ex4:2.5"])
+    def test_refused_names(self, name):
+        with pytest.raises(ValidationError) as err:
+            named_instance(name)
+        assert err.value.code == "PARSE"

@@ -309,6 +309,13 @@ class TestEvaluateFixed:
         with pytest.raises(CoverageError):
             evaluate_fixed(ex1_spec, BehavioralStrategy(1, bad))
 
+    @pytest.mark.parametrize("root", [{0: 2, 1: -1}, {0: F(1, 2)}], ids=["negative", "half"])
+    def test_coverage_bad_weights(self, root):
+        spec = make_spec(1, [["1", "0"], ["1/2", "1"]], "UE")
+        with pytest.raises(CoverageError) as err:
+            evaluate_fixed(spec, BehavioralStrategy(1, {ROOT_CLASS: root}))
+        assert err.value.code == "COVERAGE"
+
 
 def opening_readers(entry):
     """Every reader of a strategy, each given Team 1's uniform strategy with
@@ -819,6 +826,10 @@ class TestSimulation:
         )
         assert estimate.stderr == 0.0
         assert estimate.mean == float(result.root_value) == 0.5
+
+    def test_zero_variance_off_the_value_is_not_within(self):
+        estimate = montecarlo.SimulationEstimate(10, 0, 0.5, 0.0, F(0))
+        assert estimate.within_four_stderr is False
 
     def test_seeded_repeatability(self, ex1_spec):
         result = solve(ex1_spec)
