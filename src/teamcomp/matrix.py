@@ -23,7 +23,10 @@ each pivot divides exactly by the previous pivot, so no pivot takes a gcd.
 It takes exactly the pivots of Bland's rule on the rational tableau.  Scaling
 a row by a positive number rescales its slack but changes no sign of a
 reduced cost and no order of the ratios, and the common denominator of the
-integer tableau, the previous pivot, is always positive.
+integer tableau, the previous pivot, is always positive.  A pivot of at least
+``_CUTOFF`` bits divides exactly through a 2-adic inverse of its odd part
+(Jebelean 1993): each quotient is the low bits of one product, since CPython
+multiplies big integers in subquadratic time but divides them in quadratic.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     RationalLike,
@@ -45,6 +48,8 @@ from .model import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Bit length from which a pivot divides by multiplying; smaller ones use //.
+_CUTOFF = 4000
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,14 @@ def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSol
                     leave = i
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
+        divide = _exact_divider(den) if den.bit_length() >= _CUTOFF else None
         for i, row in enumerate(tableau):
             if i != leave:
                 factor = row[enter]
-                new = [(pivot * a - factor * b) // den for a, b in zip(row, pivot_row)]
+                if divide is None:
+                    new = [(pivot * a - factor * b) // den for a, b in zip(row, pivot_row)]
+                else:
+                    new = [divide(pivot * a - factor * b) for a, b in zip(row, pivot_row)]
                 new[enter] = -factor
                 tableau[i] = new
         pivot_row[enter] = den
@@ -212,6 +221,38 @@ def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSol
             row_strategy[i] = Fraction(rhs[i] * objective[j], total)
     value = Fraction(den * scale - lift * total, total * scale)  # den/total - lift/scale
     return MatrixSolution(value, tuple(row_strategy), tuple(col_strategy))
+
+
+def _exact_divider(den: int) -> Callable[[int], int]:
+    """``v -> v // den`` for ``den > 0`` and numerators ``v`` that ``den``
+    divides exactly (Jebelean 1993).
+
+    With ``den = odd << shift``, ``v >> shift`` is ``q * odd``, so the low w
+    bits of ``q`` are those of ``(v >> shift) * odd^-1`` modulo ``2^w``.  The
+    bit lengths bound ``|q| < 2^(w-1)``, so those bits read as a signed
+    w-bit number are ``q``.  The inverse starts correct modulo 8 (every odd
+    square is 1 there) and each Newton step doubles its correct bits, taken
+    only when a wider quotient arrives; quotients under 64 bits use ``//``.
+    """
+    shift = (den & -den).bit_length() - 1
+    odd = den >> shift
+    den_bits = den.bit_length()
+    inv, bits = odd & 7, 3
+
+    def divide(v: int) -> int:
+        nonlocal inv, bits
+        w = v.bit_length() - den_bits + 2
+        if w < 64:
+            return v // den
+        while bits < w:
+            bits *= 2
+            mask = (1 << bits) - 1
+            inv = inv * (2 - (odd & mask) * inv) & mask
+        mask = (1 << w) - 1
+        q = ((v >> shift) & mask) * (inv & mask) & mask
+        return q - (1 << w) if q >> (w - 1) else q
+
+    return divide
 
 
 def row_dominates(game: MatrixGame, i: int, j: int) -> bool:

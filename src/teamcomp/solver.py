@@ -332,20 +332,31 @@ def evaluate_fixed(spec: GameSpec, fixed: BehavioralStrategy) -> Fraction:
 
 
 def _histories(
-    spec: GameSpec, strategy1: BehavioralStrategy, strategy2: BehavioralStrategy, rounds: int
+    spec: GameSpec,
+    strategy1: BehavioralStrategy,
+    strategy2: BehavioralStrategy,
+    rounds: int,
+    reads2: dict[HistoryClassKey, dict[int, Fraction]] | None = None,
 ) -> dict[_Outcome, Fraction]:
     """The one forward pass: exact distribution over contests ``rounds`` rounds
-    in, summing to one.  Each class's two moves are read once per pass."""
+    in, summing to one.  Each class's two moves are read once per pass; passes
+    that play the same ``strategy2`` may share ``reads2``, its moves by class,
+    which each pass fills, so they read each of its classes once in all."""
     _require_team_order(strategy1, strategy2)
     strength = spec.strength.entries
-    reads: dict[HistoryClassKey, list[dict[int, Fraction]]] = {}
+    reads: dict[HistoryClassKey, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
+    if reads2 is None:
+        reads2 = {}
 
     states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
     for _ in range(rounds):
         nxt: dict[_Outcome, Fraction] = {}
         for (pairs, key), prob in states.items():
             if key not in reads:
-                reads[key] = [_distribution_at(spec, s, key) for s in (strategy1, strategy2)]
+                dist1 = _distribution_at(spec, strategy1, key)
+                if key not in reads2:
+                    reads2[key] = _distribution_at(spec, strategy2, key)
+                reads[key] = dist1, reads2[key]
             dist1, dist2 = reads[key]
             for i, w1 in dist1.items():
                 for j, w2 in dist2.items():
@@ -460,15 +471,19 @@ def pure_meeting_grids(
     ``enumerate_pure_strategies(spec, 1, budget=budget)`` yields, and
     BudgetExceeded comes at the same point, before any grid.  Each prefix of
     the enumeration plays its earlier picks through ``_histories``, the one
-    forward pass, into reach probabilities and a partial grid; only the last
-    round is expanded per strategy.  A pair meets at most once, so a grid is
-    a sum over rounds.
+    forward pass, into reach probabilities and a partial grid; the passes
+    share uniform Team 2's moves, read once per class in the whole walk, and
+    only the last round is expanded per strategy.  A pair meets at most once,
+    so a grid is a sum over rounds.
     """
     m, n = spec.team1_size, spec.team2_size
     uniform2 = uniform_strategy(spec, 2)
+    reads2: dict[HistoryClassKey, dict[int, Fraction]] = {}
     for frontier, choices, picks in _prefix_walk(spec, 1, budget):
         # The pass ends before the walk resumes and updates ``picks``.
-        prefix = _histories(spec, PureAdaptiveStrategy(1, picks), uniform2, spec.rounds - 1)
+        prefix = _histories(
+            spec, PureAdaptiveStrategy(1, picks), uniform2, spec.rounds - 1, reads2
+        )
         grid = [[_ZERO] * n for _ in range(m)]
         reach: dict[HistoryClassKey, Fraction] = {}
         for (pairs, key), prob in prefix.items():

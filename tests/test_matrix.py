@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamcomp import solver
+from teamcomp import matrix, solver
 from teamcomp.explorer import random_strength_rows
 from teamcomp.matrix import (
     MatrixGame,
@@ -29,6 +29,7 @@ from teamcomp.model import (
 from teamcomp.solver import solve, stage_matrix
 
 from oracles import bland_reference, oracle_matrix_value
+from test_exact_division import CASES, mismatches
 
 F = Fraction
 
@@ -180,8 +181,14 @@ class TestBlandTieBreaking:
         assert solve_matrix(g) == reference(g)
 
     def test_dense_contest_same_tables_and_strategies(self, monkeypatch):
+        # This contest pivots past ``_CUTOFF`` bits, so the exact divider is
+        # checked against the Fraction reference here; the spy fails loudly
+        # if the cutoff ever rises above every pivot of tier-1.
+        built, divider = [], matrix._exact_divider
+        monkeypatch.setattr(matrix, "_exact_divider", lambda den: built.append(den) or divider(den))
         spec = make_spec(4, random_strength_rows(random.Random(1), 5, 5, 6), "UM")
         solved = solve(spec)
+        assert built
         monkeypatch.setattr(solver, "solve_matrix", reference)
         expected = solve(spec)
         assert solved.value_table == expected.value_table
@@ -228,6 +235,22 @@ class TestBlandTieBreaking:
         g = game(rows)
         assert solve_matrix(g) == MatrixSolution(*expected)
         assert reference(g) == MatrixSolution(*expected)
+
+
+class TestExactDivider:
+    @pytest.mark.parametrize("den, quotients", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_matches_floor_division(self, den, quotients):
+        assert mismatches(den, quotients) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_games(), st.integers(min_value=2**70, max_value=2**200))
+    def test_every_pivot_divides_exactly(self, g, factor):
+        # With no cutoff every pivot, den = 1 included, goes through the
+        # divider, and the factor pushes its quotients past 64 bits.
+        scaled = game([[c * factor for c in row] for row in g.payoff])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix, "_CUTOFF", 0)
+            assert solve_matrix(scaled) == reference(scaled)
 
 
 class TestIntegerForm:
