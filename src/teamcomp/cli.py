@@ -149,13 +149,11 @@ def _cmd_abandon_delta(args) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            number = int(chunk)
-        except ValueError:
-            number = 0
-        if number < 1:
+        # ASCII digits only: int() would also take a sign, underscores and
+        # other scripts' digits.
+        if not (chunk.isascii() and chunk.isdigit()) or int(chunk) < 1:
             raise GameModelError(f"bad player number {chunk!r} (use 1-based integers)", "PARSE")
-        players.append(number - 1)
+        players.append(int(chunk) - 1)
     before = solve(spec, class_budget=args.budget).root_value
     after = solve(analysis.abandon(spec, args.team, players), class_budget=args.budget).root_value
     delta = before - after if args.team == 1 else after - before

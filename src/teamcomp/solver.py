@@ -15,6 +15,10 @@ remaining utilities differ by a constant c have stage games that differ by c
 in every cell, so the later class takes the earlier one's strategies and its
 value plus c (von Neumann & Morgenstern).  Under UE every win count at a round
 is such a translate; under UM only the decided ones are.
+Player types share games too: players whose rows (Team 1) or columns (Team 2)
+of the strength matrix are equal have one type, and two first translates at a
+round whose unused players read the same types in index order, at the same
+win count, have one stage game, solved once (Gilpin & Sandholm 2007).
 
 All class tables are computed in full, including classes no equilibrium play
 reaches, because best-response evaluation needs off-path values too.
@@ -65,7 +69,8 @@ _Frontier = tuple[HistoryClassKey, ...]
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
     """Number of history classes in the solver's value table, terminal ones
-    included; translates among them share one stage game (see ``solve``)."""
+    included; translates among them, and classes whose unused players are of
+    the same types, share one stage game (see ``solve``)."""
     return sum(
         comb(team1_size, k) * comb(team2_size, k) * (k + 1) for k in range(rounds + 1)
     )
@@ -192,20 +197,35 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
             for wins in range(rounds + 1):
                 values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
 
+    # A player's type: the first player with its strength row (Team 1) or
+    # column (Team 2).  Two classes at one round whose unused players have the
+    # same types in index order lead to relabelled copies of one subgame, so
+    # at the same win count their stage games are the same integer matrix.
+    rows = spec.strength.integer_form[0]
+    cols = list(zip(*rows))
+    row_type = [rows.index(row) for row in rows]
+    col_type = [cols.index(col) for col in cols]
+
     for k in range(rounds - 1, -1, -1):
         # Each win count's first translate at this round and the constant
         # between their remaining utilities; a count that is its own first
-        # gets its stage game solved.
+        # gets its stage game solved, once per sequence of unused types.
         sources: list[tuple[int, Fraction]] = []
         firsts: dict[tuple[Fraction, ...], int] = {}
         for wins in range(k + 1):
             rest = utility[wins : wins + rounds - k + 1]
             first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
             sources.append((first, rest[0] - utility[first]))
+        columns = []
+        for ymask in _masks(n, k):
+            col_players = unplayed(ymask, n)
+            columns.append((ymask, col_players, tuple(col_type[j] for j in col_players)))
+        # The first class solved for each (types left, win count).
+        solved: dict[tuple[tuple[int, ...], tuple[int, ...], int], HistoryClassKey] = {}
         for xmask in _masks(m, k):
             row_players = unplayed(xmask, m)
-            for ymask in _masks(n, k):
-                col_players = unplayed(ymask, n)
+            row_types = tuple(row_type[i] for i in row_players)
+            for ymask, col_players, col_types in columns:
                 for wins, (first, shift) in enumerate(sources):
                     key = HistoryClassKey(xmask, ymask, wins)
                     if first < wins:
@@ -213,6 +233,12 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
                         values[key] = values[twin] + shift
                         moves1[key] = moves1[twin]
                         moves2[key] = moves2[twin]
+                        continue
+                    source = solved.setdefault((row_types, col_types, wins), key)
+                    if source is not key:
+                        values[key] = values[source]
+                        moves1[key] = dict(zip(row_players, moves1[source].values()))
+                        moves2[key] = dict(zip(col_players, moves2[source].values()))
                         continue
                     game = stage_matrix(spec, values, key)
                     solution = solve_matrix(game)

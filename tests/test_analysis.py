@@ -376,7 +376,22 @@ class TestTheorem4:
         # T-1 = 4 recruits lift ex4:5 off its floor of -5/2; 3 recruits do not.
         spec = add_dominated(named_instance("ex4:5"), 4)
         assert class_count(spec.team1_size, spec.team2_size, spec.rounds) == 206_911
-        assert solve(spec).root_value == F(-123, 50)
+        report = check_theorem4(5, "UE")
+        assert report.passed
+        assert report.values == {
+            "recruits_3": F(-5, 2),
+            "recruits_4": F(-123, 50),
+            "recruits_5": F(-123, 50),
+        }
+
+    def test_t5_um(self):
+        report = check_theorem4(5, "UM")
+        assert report.passed
+        assert report.values == {
+            "recruits_1": F(-1),
+            "recruits_2": F(-299, 300),
+            "recruits_3": F(-299, 300),
+        }
 
     def test_bad_variant(self):
         with pytest.raises(ValidationError):

@@ -47,9 +47,12 @@ def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utilit
     # ``solver.stage_matrix`` and ``solver.solve_matrix``; a solve that built
     # or solved a stage game any other way would read zero there.  Each game
     # solved must come from the call just before it, once per decision class
-    # that is not a translate of a lower win count at its round.
+    # that is not a translate of a lower win count at its round.  ex3's
+    # players are pairwise distinct types, so no two classes share a game.
     spec = named_instance("ex3", utility)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+    rows = spec.strength.entries
+    assert len(set(rows)) == m and len(set(zip(*rows))) == n
     utility_values = spec.utility.values
     events = []
     build, solve_game = solver.stage_matrix, solver.solve_matrix

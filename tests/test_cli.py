@@ -234,6 +234,18 @@ class TestOtherCommands:
         assert out == ""
         assert err == "error[PARSE]: bad player number 'x' (use 1-based integers)\n"
 
+    @pytest.mark.parametrize("number", ["+2", "\u0662", "1_0"])
+    def test_abandon_delta_player_not_ascii_digits(self, capsys, number):
+        # int() reads each of these (2, an Arabic-Indic 2, 10); the option
+        # takes plain ASCII digits only.
+        code, out, err = run_cli(
+            capsys,
+            "abandon-delta", "--example", "ex3", "--utility", "UM", "--players", number,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error[PARSE]: bad player number {number!r} (use 1-based integers)\n"
+
     def test_abandon_delta_budget_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -1,10 +1,12 @@
 import ast
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamcomp import montecarlo, solver
 from teamcomp.analysis import (
@@ -66,6 +68,22 @@ def strategy_pairs(spec):
         (uniform_strategy(spec, 1), uniform_strategy(spec, 2)),
         (result.strategy1, result.strategy2),
     ]
+
+
+def assert_each_class_solves_its_own_game(spec):
+    """Every decision class holds exactly what solving its own stage game
+    returns, value and both mixtures, whether ``solve`` solved that game,
+    copied a translate or shared the game of a class with the same types."""
+    m, n = spec.team1_size, spec.team2_size
+    result = solve(spec)
+    for key, value in result.value_table.items():
+        if key.round_index < spec.rounds:
+            solution = solve_matrix(stage_matrix(spec, result.value_table, key))
+            assert value == solution.value
+            rows = dict(zip(unplayed(key.played1, m), solution.row_strategy))
+            cols = dict(zip(unplayed(key.played2, n), solution.col_strategy))
+            assert result.strategy1.moves[key] == rows
+            assert result.strategy2.moves[key] == cols
 
 
 class TestStageMatrix:
@@ -170,8 +188,6 @@ class TestSolve:
         assert len(result.value_table) == class_count(4, 3, 3)
 
     def test_bellman_consistency(self):
-        # Classes copied from a translate included: each holds exactly what
-        # solving its own stage game returns, value and both mixtures.
         contests = [
             add_dominated(named_instance("ex4:4"), 2),
             add_dominated(named_instance("ex5:5"), 2),
@@ -179,16 +195,7 @@ class TestSolve:
             random_spec(random.Random("bellman-um"), 3, 5, 5, bound=6, utility="UM"),
         ]
         for spec in contests:
-            m, n = spec.team1_size, spec.team2_size
-            result = solve(spec)
-            for key, value in result.value_table.items():
-                if key.round_index < spec.rounds:
-                    solution = solve_matrix(stage_matrix(spec, result.value_table, key))
-                    assert value == solution.value
-                    rows = dict(zip(unplayed(key.played1, m), solution.row_strategy))
-                    cols = dict(zip(unplayed(key.played2, n), solution.col_strategy))
-                    assert result.strategy1.moves[key] == rows
-                    assert result.strategy2.moves[key] == cols
+            assert_each_class_solves_its_own_game(spec)
 
     @pytest.mark.parametrize("utility", ["UE", "UM"])
     def test_translates_share_one_stage_game(self, monkeypatch, utility):
@@ -251,6 +258,105 @@ class TestSolve:
             ]
             mirrored = make_spec(rounds, mirrored_rows, "UE")
             assert solve(mirrored).root_value == -solve(spec).root_value
+
+
+# Repeated player types that are not a trailing suffix of the roster, so a
+# key that lost the index order or one team's types would share wrong games.
+TYPED_CONTESTS = {
+    "interleaved rows": lambda u: make_spec(
+        3,
+        [
+            ["1/2", 1, 0, "1/3"],
+            [0, "1/4", 1, "2/3"],
+            ["1/2", 1, 0, "1/3"],
+            [1, 0, "1/2", 0],
+            [0, "1/4", 1, "2/3"],
+        ],
+        u,
+    ),
+    "interleaved columns": lambda u: make_spec(
+        3,
+        [
+            ["1/2", 0, "1/2", 1, 0],
+            [1, "1/4", 1, 0, "1/4"],
+            [0, 1, 0, "1/2", 1],
+            ["1/3", "2/3", "1/3", 0, "2/3"],
+        ],
+        u,
+    ),
+    "one type": lambda u: make_spec(3, [["1/3"] * 4] * 4, u),
+}
+
+strength_cell = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])
+
+
+@st.composite
+def repeated_type_rows(draw):
+    """A strength grid over fewer row and column types than players, so at
+    least one row and one column repeat once the roster has two players."""
+    rounds = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=rounds, max_value=rounds + 2))
+    n = draw(st.integers(min_value=rounds, max_value=rounds + 2))
+    row_kinds = draw(st.integers(min_value=1, max_value=max(1, m - 1)))
+    col_kinds = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+    base = [[draw(strength_cell) for _ in range(col_kinds)] for _ in range(row_kinds)]
+    row_of = [draw(st.integers(min_value=0, max_value=row_kinds - 1)) for _ in range(m)]
+    col_of = [draw(st.integers(min_value=0, max_value=col_kinds - 1)) for _ in range(n)]
+    return rounds, [[base[r][c] for c in col_of] for r in row_of]
+
+
+class TestTypeSharing:
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    @pytest.mark.parametrize("name", TYPED_CONTESTS)
+    def test_repeated_types_against_own_games(self, name, utility):
+        assert_each_class_solves_its_own_game(TYPED_CONTESTS[name](utility))
+
+    @pytest.mark.parametrize("name", ["ex4:4", "ex5:4"])
+    def test_ladder_spare_columns(self, name):
+        assert_each_class_solves_its_own_game(named_instance(name))
+
+    @pytest.mark.parametrize("name", ["ex4:4", "ex5:4"])
+    def test_shuffled_ladder(self, name):
+        ladder = add_dominated(named_instance(name), 2)
+        rows = list(ladder.strength.entries)
+        random.Random(f"shuffled {name}").shuffle(rows)
+        assert tuple(rows) != ladder.strength.entries
+        assert_each_class_solves_its_own_game(make_spec(ladder.rounds, rows, ladder.utility))
+
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_type_rows())
+    def test_repeated_types_property(self, utility, contest):
+        rounds, rows = contest
+        assert_each_class_solves_its_own_game(make_spec(rounds, rows, utility))
+
+    def test_one_solve_per_type_sequence(self, monkeypatch):
+        # Counted here from the strength rows and columns themselves: per
+        # round, one game per distinct (rows left, columns left, first
+        # translate) in index order.  ex4 is UE, so every win count at a
+        # round is a translate of zero wins, the one first translate.
+        spec = add_dominated(named_instance("ex4:5"), 3)
+        calls = []
+        monkeypatch.setattr(
+            solver, "solve_matrix", lambda game: calls.append(game) or solve_matrix(game)
+        )
+        solve(spec)
+        m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+        rows = spec.strength.entries
+        cols = [tuple(row[j] for row in rows) for j in range(n)]
+        games = 0
+        for k in range(rounds):
+            left1 = [
+                tuple(rows[i] for i in range(m) if i not in played)
+                for played in itertools.combinations(range(m), k)
+            ]
+            left2 = [
+                tuple(cols[j] for j in range(n) if j not in played)
+                for played in itertools.combinations(range(n), k)
+            ]
+            games += len({(a, b) for a in left1 for b in left2})
+        assert len(calls) == games == 1_899
+        assert games < sum(comb(m, k) * comb(n, k) for k in range(rounds))
 
 
 class TestEvaluateFixed:
