@@ -40,6 +40,7 @@ from .model import (
     MAX_PLAYERS,
     ROOT_CLASS,
     ValidationError,
+    _ascii_int,
     _whole,
     document_from_spec,
     format_rational,
@@ -59,6 +60,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+
+
+def _int_option(text: str) -> int:
+    """The ``type`` of every integer option: ASCII digits, PARSE otherwise."""
+    number = _ascii_int(text)
+    if number is None:
+        raise ValidationError(f"expected an integer in ASCII digits, got {text!r}", "PARSE")
+    return number
 
 
 def _emit(doc: dict) -> None:
@@ -149,11 +158,10 @@ def _cmd_abandon_delta(args) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        # ASCII digits only: int() would also take a sign, underscores and
-        # other scripts' digits.
-        if not (chunk.isascii() and chunk.isdigit()) or int(chunk) < 1:
+        number = _ascii_int(chunk)
+        if number is None or number < 1:
             raise GameModelError(f"bad player number {chunk!r} (use 1-based integers)", "PARSE")
-        players.append(int(chunk) - 1)
+        players.append(number - 1)
     before = solve(spec, class_budget=args.budget).root_value
     after = solve(analysis.abandon(spec, args.team, players), class_budget=args.budget).root_value
     delta = before - after if args.team == 1 else after - before
@@ -305,10 +313,13 @@ _SUITES = {
 
 # Each verify option and the suites that read it; ``verify all`` reads every one.
 _VERIFY_OPTIONS = {
-    "T": ({"type": int, "help": "restrict to one round count"}, _SEEDED.keys() | {"theorem4"}),
-    "instances": ({"type": int, "default": 10}, _SEEDED.keys()),
-    "seed": ({"type": int, "default": 0}, _SEEDED.keys()),
-    "Cmax": ({"type": int, "default": 4}, {"lemma6"}),
+    "T": (
+        {"type": _int_option, "help": "restrict to one round count"},
+        _SEEDED.keys() | {"theorem4"},
+    ),
+    "instances": ({"type": _int_option, "default": 10}, _SEEDED.keys()),
+    "seed": ({"type": _int_option, "default": 0}, _SEEDED.keys()),
+    "Cmax": ({"type": _int_option, "default": 4}, {"lemma6"}),
     "utility": ({"choices": ["UE", "UM"]}, {"theorem4"}),
 }
 
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget",
-                type=int,
+                type=_int_option,
                 default=DEFAULT_CLASS_BUDGET,
                 help="history-class budget for the solver",
             )
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("best-response", help="value against one frozen team")
     add_spec_args(p)
-    p.add_argument("--team", type=int, choices=[1, 2], default=1)
+    p.add_argument("--team", type=_int_option, choices=[1, 2], default=1)
     p.add_argument("--strategy", choices=["uniform", "equilibrium"], default="uniform")
     p.set_defaults(func=_cmd_best_response)
 
@@ -377,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abandon-delta", help="value change when players are dropped")
     add_spec_args(p)
-    p.add_argument("--team", type=int, choices=[1, 2], default=1)
+    p.add_argument("--team", type=_int_option, choices=[1, 2], default=1)
     p.add_argument("--players", required=True, help="comma-separated 1-based numbers")
     p.set_defaults(func=_cmd_abandon_delta)
 
     p = sub.add_parser("gamma", help="emit a threshold-contest spec document")
-    p.add_argument("--C", type=int, required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--C", type=_int_option, required=True)
+    p.add_argument("--a", type=_int_option, default=0)
+    p.add_argument("--b", type=_int_option, default=0)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -397,26 +408,27 @@ def build_parser() -> argparse.ArgumentParser:
                 q.add_argument(f"--{option}", **kwargs)
 
     p = sub.add_parser("sweep", help="search recruiting gains over random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--T", type=int, help="largest round count to sample (at least 2)")
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--instances", type=_int_option, default=100)
+    p.add_argument("--T", type=_int_option, help="largest round count to sample (at least 2)")
     p.add_argument("--utility", choices=["UE", "UM"])
-    p.add_argument("--max-recruits", type=int, dest="max_recruits")
+    p.add_argument("--max-recruits", type=_int_option, dest="max_recruits")
     p.add_argument("--out", help="write the per-record CSV here")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of the exact value")
     add_spec_args(p)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_option, default=100_000)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: an integer option's reader raises PARSE while parsing.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error[BUDGET]: {exc}", file=sys.stderr)

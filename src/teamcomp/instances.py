@@ -8,7 +8,15 @@ scalable identity-ladder families used for the recruiting analysis.
 
 from __future__ import annotations
 
-from .model import GameSpec, ValidationError, _check_roster, _whole, make_spec, utility_name
+from .model import (
+    GameSpec,
+    ValidationError,
+    _ascii_int,
+    _check_roster,
+    _whole,
+    make_spec,
+    utility_name,
+)
 
 
 def card_game() -> GameSpec:
@@ -85,9 +93,8 @@ def named_instance(name: str, utility: str | None = None) -> GameSpec:
         return _ex3(utility or "UM")
     if text.startswith("ex4:") or text.startswith("ex5:"):
         head, _, tail = text.partition(":")
-        try:
-            rounds = int(tail)
-        except ValueError:
+        rounds = _ascii_int(tail)
+        if rounds is None:
             raise ValidationError(f"bad round count in example name {name!r}", "PARSE")
         return _identity_ladder(rounds, "UE" if head == "ex4" else "UM")
     raise ValidationError(

@@ -8,7 +8,7 @@ the cells; everything else goes through one primal simplex with Bland's
 anti-cycling rule, so output is deterministic and the minimax value is exact.
 
 The LP uses the classic positivization transform.  Shift the payoff matrix by
-a constant until every entry is positive, then solve
+a whole number until every entry is at least 1, then solve
 
     maximize  1.w   subject to  M'w <= 1,  w >= 0.
 
@@ -27,6 +27,17 @@ integer tableau, the previous pivot, is always positive.  A pivot of at least
 ``_CUTOFF`` bits divides exactly through a 2-adic inverse of its odd part
 (Jebelean 1993): each quotient is the low bits of one product, since CPython
 multiplies big integers in subquadratic time but divides them in quadratic.
+
+A game whose ``den`` has at least ``_CUTOFF`` bits skips most of the pivots:
+guess the answer cheaply, then prove it exactly (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", 2007).  Bland's
+simplex on the cells rounded to 60 bits guesses both supports; two
+fraction-free square solves give the mixtures on them, and a strict exact
+certificate proves them: each row and column off the supports is strictly
+worse than the value for its player.  A strict certificate on a nonsingular
+square support makes the equilibrium unique (Shapley & Snow 1950), so it is
+the one Bland's rule would return and the answer is the same to the last
+digit.  A game whose certificate fails falls back to the simplex.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import (
     RationalLike,
@@ -48,7 +59,8 @@ from .model import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# Bit length from which a pivot divides by multiplying; smaller ones use //.
+# Bit length from which a pivot divides by multiplying, smaller ones using //,
+# and from which a game's den sends it to the certified support solve.
 _CUTOFF = 4000
 
 
@@ -124,7 +136,9 @@ def solve_matrix(game: MatrixGame) -> MatrixSolution:
     """Exact minimax value and optimal mixed strategies.
 
     Deterministic: a fixed scan order picks among pure saddle points and
-    Bland's rule fixes every simplex pivot.
+    Bland's rule fixes every simplex pivot.  The certified support solve
+    returns an answer only where it is the game's only equilibrium, so it is
+    always the one Bland's rule lands on.
     """
     cells, den = game.cells, game.den
 
@@ -141,36 +155,63 @@ def solve_matrix(game: MatrixGame) -> MatrixSolution:
         col = tuple(_ONE if j == j_star else _ZERO for j in range(len(col_maxs)))
         return MatrixSolution(Fraction(maximin, den), row, col)
 
-    return _simplex(cells, den, den - min(row_mins))  # every shifted cell is >= den > 0
+    if den.bit_length() >= _CUTOFF:
+        certified = _certified(cells, den, *_guess(cells))
+        if certified is not None:
+            return certified
+    return _simplex(cells, den)
 
 
-def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSolution:
-    """Bland's simplex on the game ``(cells + lift) / scale``, whose entries
-    are positive.
+def _shifted_rows(
+    cells: Sequence[Sequence[int]], den: int
+) -> tuple[list[list[int]], list[int], int]:
+    """``(rows, scales, shift)``: row i of the game ``cells / den + shift`` is
+    ``rows[i] / scales[i]`` in lowest terms.
+
+    ``shift = 1 - min // den`` is the least whole number that lifts every
+    entry to at least 1.  The lift ``shift * den`` is a multiple of ``den``,
+    so the gcd of a lifted row and ``den`` is ``gcd(*line, den)`` over the
+    raw cells.
+    """
+    shift = 1 - min(map(min, cells)) // den
+    rows, scales = [], []
+    for line in cells:
+        g = gcd(*line, den)
+        scale = den // g
+        top = shift * scale
+        rows.append([c // g + top for c in line])
+        scales.append(scale)
+    return rows, scales, shift
+
+
+def _simplex(cells: Sequence[Sequence[int]], den: int) -> MatrixSolution:
+    """Bland's simplex on the shifted game ``rows[i] / scales[i]`` of
+    ``_shifted_rows``, whose entries are at least 1.
 
     The condensed tableau keeps one row per constraint, then the objective
     row, and one column per nonbasic variable, then the right-hand side.
     Variables ``0..n-1`` are the column weights w, ``n..n+m-1`` the slacks.
-    Every entry is an integer over the common denominator ``den``, the
-    previous pivot, which is always positive.  Row i starts as the shifted
-    cells and ``scale`` divided by their gcd, so its right-hand side is
-    ``rhs[i]`` and its slack coefficient 1.
+    Every entry is an integer over the common denominator ``prev``, the
+    previous pivot, which is always positive.  Row i starts as ``rows[i]``
+    and ``scales[i]``, so its right-hand side is ``scales[i]`` and its slack
+    coefficient 1.
+
+    The pivots do not depend on the shift.  Adding d to every entry maps each
+    feasible w to ``w / (1 + d * sum(w))``, which keeps every vertex, every
+    sign of a reduced cost, every tie and the order of the ratios, since the
+    objective and each step length only grow monotonically under it.
 
     Every entry being positive, the LP is bounded and some row always leaves;
     Bland's rule never revisits a basis, so the loop ends.
     """
-    n_rows, n_cols = len(cells), len(cells[0])
-    rhs = []
-    tableau = []
-    for line in cells:
-        shifted = [c + lift for c in line]
-        g = gcd(scale, *shifted)
-        rhs.append(scale // g)
-        tableau.append([c // g for c in shifted] + [rhs[-1]])
+    tableau, scales, shift = _shifted_rows(cells, den)
+    n_rows, n_cols = len(tableau), len(tableau[0])
+    for row, scale in zip(tableau, scales):
+        row.append(scale)
     tableau.append([-1] * n_cols + [0])
     basis = list(range(n_cols, n_cols + n_rows))
     nonbasic = list(range(n_cols))
-    den = 1
+    prev = 1
 
     while True:
         entering = [j for j in range(n_cols) if tableau[-1][j] < 0]
@@ -192,21 +233,21 @@ def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSol
                     leave = i
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
-        divide = _exact_divider(den) if den.bit_length() >= _CUTOFF else None
+        divide = _exact_divider(prev) if prev.bit_length() >= _CUTOFF else None
         for i, row in enumerate(tableau):
             if i != leave:
                 factor = row[enter]
                 if divide is None:
-                    new = [(pivot * a - factor * b) // den for a, b in zip(row, pivot_row)]
+                    new = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
                 else:
                     new = [divide(pivot * a - factor * b) for a, b in zip(row, pivot_row)]
                 new[enter] = -factor
                 tableau[i] = new
-        pivot_row[enter] = den
-        den = pivot
+        pivot_row[enter] = prev
+        prev = pivot
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    # The LP optimum is objective/den = 1/v' for the shifted value v'; each
+    # The LP optimum is objective/prev = 1/v' for the shifted value v'; each
     # weight is its LP variable (or dual) rescaled by v'.
     objective = tableau[-1]
     total = objective[-1]
@@ -218,9 +259,108 @@ def _simplex(cells: Sequence[Sequence[int]], scale: int, lift: int) -> MatrixSol
     for j, var in enumerate(nonbasic):
         if var >= n_cols:
             i = var - n_cols
-            row_strategy[i] = Fraction(rhs[i] * objective[j], total)
-    value = Fraction(den * scale - lift * total, total * scale)  # den/total - lift/scale
-    return MatrixSolution(value, tuple(row_strategy), tuple(col_strategy))
+            row_strategy[i] = Fraction(scales[i] * objective[j], total)
+    return MatrixSolution(Fraction(prev, total) - shift, tuple(row_strategy), tuple(col_strategy))
+
+
+def _guess(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Row and column supports of Bland's answer on ``cells`` rounded to their
+    top 60 bits.  Scaling a game by a positive number changes none of its
+    equilibria, so the rounded cells need no denominator."""
+    drop = max(0, max(abs(c) for line in cells for c in line).bit_length() - 60)
+    guess = _simplex([[c >> drop for c in line] for line in cells], 1)
+    return (
+        [i for i, x in enumerate(guess.row_strategy) if x],
+        [j for j, y in enumerate(guess.col_strategy) if y],
+    )
+
+
+def _certified(
+    cells: Sequence[Sequence[int]], den: int, support_rows: list[int], support_cols: list[int]
+) -> MatrixSolution | None:
+    """The equilibrium of ``cells / den`` on the given supports, if a strict
+    certificate proves it the game's only one; ``None`` otherwise.
+
+    On the shifted rows ``N_i / D_i`` of ``_shifted_rows`` and the square
+    block ``N_RC``, the column mixture is W / sum(W) and the shifted value
+    Δ / sum(W) for ``N_RC·W = Δ·D_R``; the row mixture is ``D_i·U_i`` over
+    its sum for ``N_RCᵀ·U = Δ'·1``.  They are accepted only if both systems
+    are nonsingular, every W and U is positive, every row off R pays strictly
+    less than the value against W and every column off C strictly more
+    against U.  Strict complementary slackness on a nonsingular block makes
+    both mixtures unique (Shapley & Snow 1950), so they are the ones Bland's
+    simplex returns.
+    """
+    if len(support_rows) != len(support_cols):
+        return None
+    rows, scales, shift = _shifted_rows(cells, den)
+    block = [[rows[i][j] for j in support_cols] for i in support_rows]
+    solved = _solve_square(block, [scales[i] for i in support_rows])
+    if solved is None:
+        return None
+    w, delta = solved
+    solved = _solve_square(zip(*block), [1] * len(block))
+    if solved is None:
+        return None
+    u, delta_t = solved
+    if min(w) <= 0 or min(u) <= 0:
+        return None
+    on_rows, on_cols = set(support_rows), set(support_cols)
+    if any(
+        sum(row[j] * x for j, x in zip(support_cols, w)) >= scales[i] * delta
+        for i, row in enumerate(rows)
+        if i not in on_rows
+    ) or any(
+        sum(rows[i][j] * x for i, x in zip(support_rows, u)) <= delta_t
+        for j in range(len(rows[0]))
+        if j not in on_cols
+    ):
+        return None
+
+    total = sum(w)
+    col_strategy = [_ZERO] * len(rows[0])
+    for j, x in zip(support_cols, w):
+        col_strategy[j] = Fraction(x, total)
+    weights = [scales[i] * x for i, x in zip(support_rows, u)]
+    total_row = sum(weights)
+    row_strategy = [_ZERO] * len(rows)
+    for i, x in zip(support_rows, weights):
+        row_strategy[i] = Fraction(x, total_row)
+    return MatrixSolution(Fraction(delta, total) - shift, tuple(row_strategy), tuple(col_strategy))
+
+
+def _solve_square(
+    matrix: Iterable[Sequence[int]], rhs: list[int]
+) -> tuple[list[int], int] | None:
+    """``(x, d)`` with ``matrix·x = d·rhs`` and ``d > 0``, or ``None`` if the
+    matrix is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
+    exactly by the previous pivot.  A pivot row is negated when its pivot is
+    negative, which changes no solution, so every divisor is positive and d,
+    the last pivot, is ``|det|``.  Columns left of the pivot are never read
+    again and are not updated.
+    """
+    aug = [[*row, b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for p in range(len(aug)):
+        r = next((r for r in range(p, len(aug)) if aug[r][p]), None)
+        if r is None:
+            return None
+        aug[p], aug[r] = aug[r], aug[p]
+        if aug[p][p] < 0:
+            aug[p] = [-a for a in aug[p]]
+        pivot_row = aug[p]
+        pivot = pivot_row[p]
+        divide = _exact_divider(prev) if prev.bit_length() >= _CUTOFF else prev.__rfloordiv__
+        for i, row in enumerate(aug):
+            if i != p:
+                factor = row[p]
+                row[p + 1:] = [
+                    divide(pivot * a - factor * b) for a, b in zip(row[p + 1:], pivot_row[p + 1:])
+                ]
+        prev = pivot
+    return [row[-1] for row in aug], prev
 
 
 def _exact_divider(den: int) -> Callable[[int], int]:

@@ -128,6 +128,23 @@ def _whole(value: object, name: str, least: int) -> int:
     return value
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer ``text`` spells in ASCII digits after an optional ``-``,
+    else ``None``.
+
+    The one reader for integers typed on the command line: ``int()`` would
+    also take a ``+``, surrounding spaces, underscores and other scripts'
+    digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        return None
+
+
 def _team(team: object) -> int:
     """``team`` itself when it is the int 1 or 2: the one team-number rule.
     Anything else, ``True``, ``2.0`` and ``"1"`` included, raises PARSE."""

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from teamcomp import explorer
+from teamcomp import cli, explorer
 from teamcomp.cli import main
 from teamcomp.model import document_from_spec, loads_spec
 from teamcomp.instances import named_instance
@@ -420,6 +421,69 @@ class TestVerifyCommand:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+def _actions(parser):
+    """Every action of ``parser`` and of its subcommands, depth first."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+class TestIntegerOptions:
+    # int() reads each of these (2, an Arabic-Indic 3, 3, 10).
+    SPELLINGS = ["+2", "\u0663", " 3", "1_0"]
+
+    def test_past_int_to_string_limit_exits_2(self, capsys):
+        # int() raises a bare ValueError on 5,000 digits.
+        code, out, err = run_cli(capsys, "gamma", "--C", "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[PARSE]: expected an integer in ASCII digits")
+        code, out, err = run_cli(
+            capsys, "abandon-delta", "--example", "ex3", "--utility", "UM", "--players", "1" * 5000
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error[PARSE]: bad player number")
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--C"],
+            ["gamma", "--C", "3", "--a"],
+            ["gamma", "--C", "3", "--b"],
+            ["sweep", "--seed"],
+            ["sweep", "--instances"],
+            ["sweep", "--T"],
+            ["sweep", "--max-recruits"],
+            ["verify", "all", "--T"],
+            ["verify", "all", "--instances"],
+            ["verify", "all", "--seed"],
+            ["verify", "all", "--Cmax"],
+            ["solve", "--example", "card", "--budget"],
+            ["best-response", "--example", "card", "--team"],
+            ["simulate", "--example", "card", "--samples"],
+            ["simulate", "--example", "card", "--seed"],
+        ],
+        ids=" ".join,
+    )
+    def test_not_ascii_digits_exits_2(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        assert err == f"error[PARSE]: expected an integer in ASCII digits, got {value!r}\n"
+
+    def test_every_integer_option_reads_ascii_digits(self):
+        types = [action.type for action in _actions(cli.build_parser())]
+        assert int not in types
+        assert cli._int_option in types
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    def test_example_round_count_not_ascii_digits_exits_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "solve", "--example", f"ex4:{value}")
+        assert (code, out) == (2, "")
+        assert err == f"error[PARSE]: bad round count in example name 'ex4:{value}'\n"
 
 
 class TestExitCodes:

@@ -29,7 +29,7 @@ from teamcomp.model import (
 from teamcomp.solver import solve, stage_matrix
 
 from oracles import bland_reference, oracle_matrix_value
-from test_exact_division import CASES, mismatches
+from test_exact_division import CASES, CERTIFIED_CASES, certified_problems, mismatches
 
 F = Fraction
 
@@ -181,14 +181,21 @@ class TestBlandTieBreaking:
         assert solve_matrix(g) == reference(g)
 
     def test_dense_contest_same_tables_and_strategies(self, monkeypatch):
-        # This contest pivots past ``_CUTOFF`` bits, so the exact divider is
-        # checked against the Fraction reference here; the spy fails loudly
-        # if the cutoff ever rises above every pivot of tier-1.
+        # This contest's root game has a den past ``_CUTOFF`` bits and
+        # elimination pivots past it too, so the certified path and the exact
+        # divider are checked against the Fraction reference here; the spies
+        # fail loudly if the cutoff ever rises above every game of tier-1 or
+        # a big game falls back.
         built, divider = [], matrix._exact_divider
         monkeypatch.setattr(matrix, "_exact_divider", lambda den: built.append(den) or divider(den))
+        answers, certify = [], matrix._certified
+        monkeypatch.setattr(
+            matrix, "_certified", lambda *args: answers.append(certify(*args)) or answers[-1]
+        )
         spec = make_spec(4, random_strength_rows(random.Random(1), 5, 5, 6), "UM")
         solved = solve(spec)
         assert built
+        assert answers and None not in answers
         monkeypatch.setattr(solver, "solve_matrix", reference)
         expected = solve(spec)
         assert solved.value_table == expected.value_table
@@ -251,6 +258,55 @@ class TestExactDivider:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matrix, "_CUTOFF", 0)
             assert solve_matrix(scaled) == reference(scaled)
+
+
+class TestCertified:
+    @pytest.mark.parametrize(
+        "build", [c[1] for c in CERTIFIED_CASES], ids=[c[0] for c in CERTIFIED_CASES]
+    )
+    def test_fixed_cases(self, build):
+        assert certified_problems(build) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(degenerate_games(), small_games()),
+        st.one_of(st.just(1), st.integers(min_value=2**70, max_value=2**200)),
+    )
+    def test_same_answer_as_bland(self, g, factor):
+        # With no cutoff every game without a saddle point is guessed and
+        # then certified or solved by Bland's rule; the factor makes the
+        # guess round its cells.
+        scaled = game([[c * factor for c in row] for row in g.payoff])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix, "_CUTOFF", 0)
+            assert solve_matrix(scaled) == reference(scaled)
+
+    def test_negative_determinant(self):
+        sol = matrix._certified(((1, 3), (2, 1)), 1, [0, 1], [0, 1])
+        assert sol == MatrixSolution(F(5, 3), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
+
+    @pytest.mark.parametrize(
+        "rows, support_rows, support_cols",
+        [
+            ([[2, -1, -1], [-1, 1, 1]], [0, 1], [0, 2]),
+            ([[1, -1], [1, -1], [-1, 1]], [0, 1], [0, 1]),
+            ([[1, 2], [0, 3]], [0, 1], [0, 1]),
+            ([[1, -1], [-1, 1]], [0, 1], [0]),
+        ],
+        ids=["tied-column", "singular", "negative-weight", "unequal-sizes"],
+    )
+    def test_refused(self, rows, support_rows, support_cols):
+        g = game(rows)
+        assert matrix._certified(g.cells, g.den, support_rows, support_cols) is None
+
+    def test_tied_support_falls_back_to_bland(self, monkeypatch):
+        # Mixing columns 0 and 2 is as good as Bland's columns 0 and 1, since
+        # column 2 repeats column 1; only a strict certificate refuses it.
+        g = game([[2, -1, -1], [-1, 1, 1]])
+        monkeypatch.setattr(matrix, "_CUTOFF", 0)
+        monkeypatch.setattr(matrix, "_guess", lambda cells: ([0, 1], [0, 2]))
+        assert solve_matrix(g) == reference(g)
+        assert solve_matrix(g).col_strategy == (F(2, 5), F(3, 5), F(0))
 
 
 class TestIntegerForm:

@@ -377,8 +377,19 @@ class TestNamedInstances:
         with pytest.raises(ValidationError):
             named_instance("nope")
 
-    @pytest.mark.parametrize("name", [5, None, b"card", ["card"], "ex4:x", "ex5:", "ex4:2.5"])
+    @pytest.mark.parametrize(
+        "name",
+        [5, None, b"card", ["card"], "ex4:x", "ex5:", "ex4:2.5"]
+        # int() reads each of these (2, an Arabic-Indic 3, 3, 10).
+        + ["ex4:+2", "ex4:\u0663", "ex4: 3", "ex4:1_0"],
+    )
     def test_refused_names(self, name):
         with pytest.raises(ValidationError) as err:
             named_instance(name)
+        assert err.value.code == "PARSE"
+
+    def test_round_count_past_int_to_string_limit(self):
+        # int() raises a bare ValueError on 5,000 digits.
+        with pytest.raises(ValidationError) as err:
+            named_instance("ex4:" + "1" * 5000)
         assert err.value.code == "PARSE"
