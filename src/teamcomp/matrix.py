@@ -23,10 +23,7 @@ each pivot divides exactly by the previous pivot, so no pivot takes a gcd.
 It takes exactly the pivots of Bland's rule on the rational tableau.  Scaling
 a row by a positive number rescales its slack but changes no sign of a
 reduced cost and no order of the ratios, and the common denominator of the
-integer tableau, the previous pivot, is always positive.  A pivot of at least
-``_CUTOFF`` bits divides exactly through a 2-adic inverse of its odd part
-(Jebelean 1993): each quotient is the low bits of one product, since CPython
-multiplies big integers in subquadratic time but divides them in quadratic.
+integer tableau, the previous pivot, is always positive.
 
 A game whose ``den`` has at least ``_CUTOFF`` bits skips most of the pivots:
 guess the answer cheaply, then prove it exactly (Applegate, Cook, Dash &
@@ -37,7 +34,11 @@ certificate proves them: each row and column off the supports is strictly
 worse than the value for its player.  A strict certificate on a nonsingular
 square support makes the equilibrium unique (Shapley & Snow 1950), so it is
 the one Bland's rule would return and the answer is the same to the last
-digit.  A game whose certificate fails falls back to the simplex.
+digit.  A game whose certificate fails falls back to the simplex.  Only the
+square solves divide a pivot of at least ``_CUTOFF`` bits through a 2-adic
+inverse of its odd part (Jebelean 1993), each quotient the low bits of one
+product: CPython multiplies big integers in subquadratic time but divides
+them in quadratic.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .model import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# Bit length from which a pivot divides by multiplying, smaller ones using //,
-# and from which a game's den sends it to the certified support solve.
+# Bit length from which a game's den sends it to the certified support solve,
+# and from which that solve's square eliminations divide by multiplying.
 _CUTOFF = 4000
 
 
@@ -233,34 +234,39 @@ def _simplex(cells: Sequence[Sequence[int]], den: int) -> MatrixSolution:
                     leave = i
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
-        divide = _exact_divider(prev) if prev.bit_length() >= _CUTOFF else None
         for i, row in enumerate(tableau):
             if i != leave:
                 factor = row[enter]
-                if divide is None:
-                    new = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
-                else:
-                    new = [divide(pivot * a - factor * b) for a, b in zip(row, pivot_row)]
+                new = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
                 new[enter] = -factor
                 tableau[i] = new
         pivot_row[enter] = prev
         prev = pivot
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    # The LP optimum is objective/prev = 1/v' for the shifted value v'; each
-    # weight is its LP variable (or dual) rescaled by v'.
+    # The basic w, and the duals times their rows' rhs, sum to prev / v'.
     objective = tableau[-1]
-    total = objective[-1]
-    col_strategy = [_ZERO] * n_cols
-    for i, var in enumerate(basis):
-        if var < n_cols:
-            col_strategy[var] = Fraction(tableau[i][-1], total)
-    row_strategy = [_ZERO] * n_rows
-    for j, var in enumerate(nonbasic):
-        if var >= n_cols:
-            i = var - n_cols
-            row_strategy[i] = Fraction(scales[i] * objective[j], total)
-    return MatrixSolution(Fraction(prev, total) - shift, tuple(row_strategy), tuple(col_strategy))
+    duals = {v - n_cols: scales[v - n_cols] * objective[j]
+             for j, v in enumerate(nonbasic) if v >= n_cols}
+    weights = {v: tableau[i][-1] for i, v in enumerate(basis) if v < n_cols}
+    return _solution(prev, shift, (n_rows, duals), (n_cols, weights))
+
+
+def _solution(
+    num: int, shift: int, rows: tuple[int, dict[int, int]], cols: tuple[int, dict[int, int]]
+) -> MatrixSolution:
+    """The answer whose mixture over each of ``rows`` and ``cols``, a
+    ``(size, weights)`` pair, puts each weight over the weights' sum on its
+    line and 0 on the others; the value is ``num`` over the column weights'
+    sum, less ``shift``."""
+    strategies = []
+    for size, weights in (rows, cols):
+        total = sum(weights.values())
+        mixture = [_ZERO] * size
+        for k, x in weights.items():
+            mixture[k] = Fraction(x, total)
+        strategies.append(tuple(mixture))
+    return MatrixSolution(Fraction(num, total) - shift, *strategies)
 
 
 def _guess(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -317,16 +323,8 @@ def _certified(
     ):
         return None
 
-    total = sum(w)
-    col_strategy = [_ZERO] * len(rows[0])
-    for j, x in zip(support_cols, w):
-        col_strategy[j] = Fraction(x, total)
-    weights = [scales[i] * x for i, x in zip(support_rows, u)]
-    total_row = sum(weights)
-    row_strategy = [_ZERO] * len(rows)
-    for i, x in zip(support_rows, weights):
-        row_strategy[i] = Fraction(x, total_row)
-    return MatrixSolution(Fraction(delta, total) - shift, tuple(row_strategy), tuple(col_strategy))
+    duals = {i: scales[i] * x for i, x in zip(support_rows, u)}
+    return _solution(delta, shift, (len(rows), duals), (len(rows[0]), dict(zip(support_cols, w))))
 
 
 def _solve_square(

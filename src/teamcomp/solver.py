@@ -443,12 +443,16 @@ def _prefix_walk(
     own_size = spec.team_size(team)
     _whole(budget, "budget", 0)
     rounds = spec.rounds
+    over = f"pure strategy enumeration exceeds the budget of {budget}"
 
     def prefixes(frontier, level, picks):
         choices = [unplayed(key[team - 1], own_size) for key in frontier]
         if level + 1 == rounds:
             yield frontier, choices, picks
             return
+        # Distinct picks here start disjoint, non-empty sets of strategies.
+        if prod(map(len, choices)) > budget:
+            raise BudgetExceeded(over)
         for combo in itertools.product(*choices):
             picks.update(zip(frontier, combo))
             reached: set[HistoryClassKey] = set()
@@ -459,12 +463,13 @@ def _prefix_walk(
             del picks[key]
 
     # Every prefix has at least one completion, so the count walk stops
-    # after at most budget + 1 prefixes.
+    # after at most budget + 1 prefixes.  A count walk that ends has checked
+    # every frontier, so the yield walk never raises.
     total = 0
     for _frontier, choices, _picks in prefixes((ROOT_CLASS,), 0, {}):
-        total += prod(len(players) for players in choices)
+        total += prod(map(len, choices))
         if total > budget:
-            raise BudgetExceeded(f"pure strategy enumeration exceeds the budget of {budget}")
+            raise BudgetExceeded(over)
     yield from prefixes((ROOT_CLASS,), 0, {})
 
 

@@ -1,6 +1,22 @@
+import itertools
+
 import pytest
 
+from teamcomp import solver
 from teamcomp.instances import named_instance
+
+
+@pytest.fixture
+def few_reach_steps(monkeypatch):
+    """Fails the test once ``solver._reach``, the prefix walk's step, has run
+    more than 1,000 times."""
+    calls, reach = itertools.count(1), solver._reach
+
+    def spy(*args):
+        assert next(calls) <= 1000, "the prefix walk took more than 1,000 steps"
+        return reach(*args)
+
+    monkeypatch.setattr(solver, "_reach", spy)
 
 
 @pytest.fixture

@@ -326,6 +326,11 @@ class TestOtherCommands:
 
 
 class TestVerifyCommand:
+    def test_lemma2_budget_refused_at_a_wide_frontier(self, capsys, few_reach_steps):
+        code, _, err = run_cli(capsys, "verify", "lemma2", "--T", "5", "--instances", "1")
+        assert code == 3
+        assert "pure strategy enumeration exceeds the budget" in err
+
     def test_lemma6(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "lemma6", "--Cmax", "3")
         assert code == 0

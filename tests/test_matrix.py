@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,8 +254,10 @@ class TestExactDivider:
     @settings(max_examples=60, deadline=None)
     @given(small_games(), st.integers(min_value=2**70, max_value=2**200))
     def test_every_pivot_divides_exactly(self, g, factor):
-        # With no cutoff every pivot, den = 1 included, goes through the
-        # divider, and the factor pushes its quotients past 64 bits.
+        # With no cutoff every game without a saddle point is guessed and
+        # certified first, so every pivot of its square solves, den = 1
+        # included, goes through the divider; the factor pushes its quotients
+        # past 64 bits.
         scaled = game([[c * factor for c in row] for row in g.payoff])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matrix, "_CUTOFF", 0)
@@ -307,6 +311,42 @@ class TestCertified:
         monkeypatch.setattr(matrix, "_guess", lambda cells: ([0, 1], [0, 2]))
         assert solve_matrix(g) == reference(g)
         assert solve_matrix(g).col_strategy == (F(2, 5), F(3, 5), F(0))
+
+    def test_big_game_without_strict_certificate_falls_back(self, monkeypatch):
+        # Nearly [[2, -1, -1], [-1, 1, 1]] over a 4,100-bit den, with 4,000-bit
+        # offsets: column 2 repeats column 1, so no strict certificate exists.
+        rng = random.Random("big-tied-column")
+        k = rng.getrandbits(4100) | 1 << 4099 | 1
+        a, b, c, d = (rng.getrandbits(4000) for _ in range(4))
+        g = MatrixGame(((2 * k + a, -k + b, -k + b), (-k + c, k + d, k + d)), k)
+        answers, certify = [], matrix._certified
+        monkeypatch.setattr(
+            matrix, "_certified", lambda *args: answers.append(certify(*args)) or answers[-1]
+        )
+        dens, simplex = [], matrix._simplex
+        monkeypatch.setattr(
+            matrix, "_simplex", lambda cells, den: dens.append(den) or simplex(cells, den)
+        )
+        assert solve_matrix(g) == reference(g)
+        assert answers == [None]
+        # The guess runs at den 1, then the fallback at the game's den.
+        assert [den.bit_length() for den in dens] == [1, 4100]
+
+
+def test_division_sites():
+    # The 2-adic divider has one caller, ``_solve_square``, so the simplex
+    # divides with ``//`` alone; only ``solve_matrix`` and that caller read
+    # the cutoff.
+    callers, readers = set(), set()
+    for top in ast.parse(Path(matrix.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_exact_divider":
+                callers.add(top.name)
+            if isinstance(node, ast.Name) and node.id == "_CUTOFF":
+                if isinstance(node.ctx, ast.Load):
+                    readers.add(getattr(top, "name", None))
+    assert callers == {"_solve_square"}
+    assert readers == {"solve_matrix", "_solve_square"}
 
 
 class TestIntegerForm:

@@ -193,6 +193,11 @@ class TestSolve:
             add_dominated(named_instance("ex5:5"), 2),
             random_spec(random.Random("bellman-ue"), 3, 5, 5, bound=6, utility="UE"),
             random_spec(random.Random("bellman-um"), 3, 5, 5, bound=6, utility="UM"),
+            # Every win count is a translate by a fractional constant.
+            random_spec(
+                random.Random("bellman-sevenths"), 3, 5, 5, bound=6,
+                utility=["0", "1/7", "2/7", "3/7"],
+            ),
         ]
         for spec in contests:
             assert_each_class_solves_its_own_game(spec)
@@ -692,6 +697,14 @@ class TestEnumeratePureStrategies:
         strategies = list(enumerate_pure_strategies(spec, 1, budget=48))
         assert strategies == list(enumerate_pure_strategies(spec, 1))
         assert len(strategies) == 48
+
+    def test_budget_refused_at_a_wide_frontier(self, few_reach_steps):
+        # Some frontier of a T=5 square contest has more picks than the
+        # default budget; it refuses the walk at once, long before the count
+        # would pass the budget over the last round's prefixes.
+        spec = random_square_spec(random.Random("wide-frontier"), 5, 6, "UE")
+        with pytest.raises(BudgetExceeded):
+            next(enumerate_pure_strategies(spec, 1))
 
 
 class TestPureMeetingGrids:
