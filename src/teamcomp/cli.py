@@ -162,6 +162,8 @@ def _cmd_abandon_delta(args) -> int:
         if number is None or number < 1:
             raise GameModelError(f"bad player number {chunk!r} (use 1-based integers)", "PARSE")
         players.append(number - 1)
+    if not players:
+        raise GameModelError(f"--players names no player: {args.players!r}", "PARSE")
     before = solve(spec, class_budget=args.budget).root_value
     after = solve(analysis.abandon(spec, args.team, players), class_budget=args.budget).root_value
     delta = before - after if args.team == 1 else after - before

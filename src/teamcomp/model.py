@@ -114,16 +114,17 @@ def player_label(team: int, index: int) -> str:
     return f"{'A' if team == 1 else 'B'}{index + 1}"
 
 
-def _whole(value: object, name: str, least: int) -> int:
+def _whole(value: object, name: str, least: int | None) -> int:
     """``value`` itself when it is an int (not a bool) of at least ``least``.
 
     The one whole-number rule for round, recruit, instance and sample counts
-    and the like: PARSE for any other type, SIZE below ``least``; ``name``
+    and the like: PARSE for any other type, SIZE below ``least`` (no bound
+    when ``None``, for a caller that checks the range itself); ``name``
     labels the value in the message.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}", "PARSE")
-    if value < least:
+    if least is not None and value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}", "SIZE")
     return value
 
@@ -373,14 +374,22 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     Every `GameSpec` runs this when it is built, so callers need not.
     Idempotent.  Raises ValidationError with code RANGE (probability outside
     [0,1]), SIZE (round/player count trouble or an empty grid), SHAPE (a
-    ragged grid or the utility table length) or PARSE (a T that is not an
-    int, or a strength or utility entry that is not a Fraction or an int, as
-    when a float reaches a directly built `StrengthMatrix` or `UtilityTable`).  The antisymmetry of the
-    utility table is reported via ``spec.utility.antisymmetric``, never
-    enforced.
+    ragged grid, a grid, grid row or utility table that is not a tuple and so
+    could change after this check, or the utility table length) or PARSE (a T
+    that is not an int, or a strength or utility entry that is not a Fraction
+    or an int, as when a float reaches a directly built `StrengthMatrix` or
+    `UtilityTable`).  The antisymmetry of the utility table is reported via
+    ``spec.utility.antisymmetric``, never enforced.
     """
     _whole(spec.rounds, "T", 1)
-    _parse_rows(spec.strength.entries, "P", _exact)
+    grid, values = spec.strength.entries, spec.utility.values
+    if not isinstance(grid, tuple) or not all(isinstance(row, tuple) for row in grid):
+        raise ValidationError(
+            "P must be a tuple of tuples (see StrengthMatrix.from_rows)", "SHAPE"
+        )
+    if not isinstance(values, tuple):
+        raise ValidationError("U must be a tuple (see UtilityTable.from_values)", "SHAPE")
+    _parse_rows(grid, "P", _exact)
     _check_roster(spec.rounds, spec.strength.rows, spec.strength.cols)
     for i, row in enumerate(spec.strength.entries):
         for j, p in enumerate(row):

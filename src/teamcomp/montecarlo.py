@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .model import BehavioralStrategy, GameSpec, HistoryClassKey, ValidationError, _exact, _whole
-from .solver import _distribution_at, _require_team_order
+from .solver import _reader
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def simulate_competitions(
     """Play ``samples`` independent contests and summarize Team-1 utility.
 
     Each round draws Team 1's pick, Team 2's pick, then the match outcome."""
-    _require_team_order(strategy1, strategy2)
+    readers = _reader(spec, strategy1, 1), _reader(spec, strategy2, 2)
     _whole(samples, "samples", 1)
     # random.Random seeds an int by its absolute value, so -3 would replay 3.
     _whole(seed, "seed", 0)
@@ -73,8 +73,8 @@ def simulate_competitions(
             if table is None:
                 key = HistoryClassKey(xm, ym, wins)
                 table = []
-                for strategy in (strategy1, strategy2):
-                    dist = _distribution_at(spec, strategy, key)
+                for read in readers:
+                    dist = read(key)
                     players = sorted(dist)
                     cums = list(accumulate(float(dist[p]) for p in players))
                     cums[-1] = 1.0

@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, lcm, prod
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .matrix import MatrixGame, solve_matrix
 from .model import (
@@ -65,12 +65,18 @@ DEFAULT_ENUM_BUDGET = 200_000
 _Outcome = tuple[tuple[tuple[int, int], ...], HistoryClassKey]
 #: The classes of one round where a pure strategy's own picks lead, sorted.
 _Frontier = tuple[HistoryClassKey, ...]
+#: A strategy's move distribution by class, as ``_reader`` builds it.
+_Read = Callable[[HistoryClassKey], dict[int, Fraction]]
 
 
 def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
     """Number of history classes in the solver's value table, terminal ones
     included; translates among them, and classes whose unused players are of
-    the same types, share one stage game (see ``solve``)."""
+    the same types, share one stage game (see ``solve``).  Each argument is a
+    whole number (PARSE unless an int, SIZE below 0)."""
+    _whole(team1_size, "team 1 size", 0)
+    _whole(team2_size, "team 2 size", 0)
+    _whole(rounds, "T", 0)
     return sum(
         comb(team1_size, k) * comb(team2_size, k) * (k + 1) for k in range(rounds + 1)
     )
@@ -142,10 +148,18 @@ def stage_matrix(
     the successor values over the lcm ``D`` of the denominators of those that
     carry weight, the cell is the integer ``a * V_win + (Dp - a) * V_loss``
     over ``D * Dp``.
+
+    ``key`` may be any (played1, played2, wins) triple of ints that names a
+    class of the contest (PARSE for a field that is not an int, INDEX for a
+    triple that names no class).
     """
     m, n = spec.team1_size, spec.team2_size
-    xm, ym, wins = key
-    k = key.round_index
+    if not (isinstance(key, tuple) and len(key) == 3):
+        raise ValidationError(f"class key must be three ints, got {key!r}", "PARSE")
+    xm, ym, wins = (_whole(field, "class key field", None) for field in key)
+    k = xm.bit_count()
+    if not (0 <= xm < 1 << m and 0 <= ym < 1 << n and ym.bit_count() == k and 0 <= wins <= k):
+        raise ValidationError(f"{tuple(key)} names no class of a {m}x{n} contest", "INDEX")
     if k >= spec.rounds:
         raise TerminalClassError(f"class at round {k} of {spec.rounds} has no stage game")
     weights, scale = spec.strength.integer_form
@@ -278,13 +292,6 @@ def _require_no_spares(spec: GameSpec) -> None:
         )
 
 
-def _require_team_order(strategy1: BehavioralStrategy, strategy2: BehavioralStrategy) -> None:
-    """The one play-order rule: Team 1's strategy first, Team 2's second
-    (PARSE otherwise)."""
-    if strategy1.team != 1 or strategy2.team != 2:
-        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
-
-
 def _distribution_at(
     spec: GameSpec, strategy: BehavioralStrategy, key: HistoryClassKey
 ) -> dict[int, Fraction]:
@@ -320,6 +327,16 @@ def _distribution_at(
     return {p: w for p, w in entry.items() if w}
 
 
+def _reader(spec: GameSpec, strategy: BehavioralStrategy, team: int) -> _Read:
+    """The one way a walk reads a strategy: ``strategy``'s move distribution
+    by class, each class read and checked once.  ``strategy`` must be Team
+    ``team``'s (the play-order rule: Team 1's strategy first, Team 2's second;
+    PARSE otherwise).  The reader's dicts are shared, never to be changed."""
+    if strategy.team != team:
+        raise ValidationError("pass team 1's strategy first and team 2's second", "PARSE")
+    return cache(partial(_distribution_at, spec, strategy))
+
+
 def evaluate_fixed(spec: GameSpec, fixed: BehavioralStrategy) -> Fraction:
     """Team-1 value when ``fixed``'s team is frozen and the other team plays a
     best response.
@@ -336,13 +353,14 @@ def evaluate_fixed(spec: GameSpec, fixed: BehavioralStrategy) -> Fraction:
     # The frozen team's number is checked where its first move is read.
     step, free, respond = (1, 2, min) if fixed.team == 1 else (-1, 1, max)
     free_size = spec.team_size(free)
+    read = _reader(spec, fixed, fixed.team)
     best: dict[HistoryClassKey, Fraction] = {}
 
     def value(key: HistoryClassKey) -> Fraction:
         if key.round_index == rounds:
             return utility[key.wins]
         if key not in best:
-            dist = _distribution_at(spec, fixed, key)
+            dist = read(key)
             candidates = []
             for free_player in unplayed(key[free - 1], free_size):
                 expected = _ZERO
@@ -358,32 +376,18 @@ def evaluate_fixed(spec: GameSpec, fixed: BehavioralStrategy) -> Fraction:
 
 
 def _histories(
-    spec: GameSpec,
-    strategy1: BehavioralStrategy,
-    strategy2: BehavioralStrategy,
-    rounds: int,
-    reads2: dict[HistoryClassKey, dict[int, Fraction]] | None = None,
+    spec: GameSpec, read1: _Read, read2: _Read, rounds: int
 ) -> dict[_Outcome, Fraction]:
     """The one forward pass: exact distribution over contests ``rounds`` rounds
-    in, summing to one.  Each class's two moves are read once per pass; passes
-    that play the same ``strategy2`` may share ``reads2``, its moves by class,
-    which each pass fills, so they read each of its classes once in all."""
-    _require_team_order(strategy1, strategy2)
+    in, summing to one, with Team 1 playing the moves ``read1`` gives and
+    Team 2 those of ``read2`` (each a ``_reader``)."""
     strength = spec.strength.entries
-    reads: dict[HistoryClassKey, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
-    if reads2 is None:
-        reads2 = {}
 
     states: dict[_Outcome, Fraction] = {((), ROOT_CLASS): _ONE}
     for _ in range(rounds):
         nxt: dict[_Outcome, Fraction] = {}
         for (pairs, key), prob in states.items():
-            if key not in reads:
-                dist1 = _distribution_at(spec, strategy1, key)
-                if key not in reads2:
-                    reads2[key] = _distribution_at(spec, strategy2, key)
-                reads[key] = dist1, reads2[key]
-            dist1, dist2 = reads[key]
+            dist1, dist2 = read1(key), read2(key)
             for i, w1 in dist1.items():
                 for j, w2 in dist2.items():
                     move_prob = prob * w1 * w2
@@ -406,8 +410,9 @@ def matching_distribution(
     marginalized over match outcomes and sum to one.
     """
     _require_no_spares(spec)
+    read1, read2 = _reader(spec, strategy1, 1), _reader(spec, strategy2, 2)
     result: dict[tuple[int, ...], Fraction] = {}
-    for (pairs, _key), prob in _histories(spec, strategy1, strategy2, spec.rounds).items():
+    for (pairs, _key), prob in _histories(spec, read1, read2, spec.rounds).items():
         matching = tuple(j for _i, j in pairs)  # pairs already sorted by i
         result[matching] = result.get(matching, _ZERO) + prob
     return {key: result[key] for key in sorted(result)}
@@ -421,8 +426,9 @@ def meeting_probabilities(
     Entry (i, j) is the chance Team 1's player i and Team 2's player j meet
     at some point of the contest under the two strategies.
     """
+    read1, read2 = _reader(spec, strategy1, 1), _reader(spec, strategy2, 2)
     grid = [[_ZERO] * spec.team2_size for _ in range(spec.team1_size)]
-    for (pairs, _key), prob in _histories(spec, strategy1, strategy2, spec.rounds).items():
+    for (pairs, _key), prob in _histories(spec, read1, read2, spec.rounds).items():
         for i, j in pairs:
             grid[i][j] += prob
     return tuple(tuple(row) for row in grid)
@@ -503,18 +509,15 @@ def pure_meeting_grids(
     BudgetExceeded comes at the same point, before any grid.  Each prefix of
     the enumeration plays its earlier picks through ``_histories``, the one
     forward pass, into reach probabilities and a partial grid; the passes
-    share uniform Team 2's moves, read once per class in the whole walk, and
-    only the last round is expanded per strategy.  A pair meets at most once,
-    so a grid is a sum over rounds.
+    share one reader of uniform Team 2, and only the last round is expanded
+    per strategy.  A pair meets at most once, so a grid is a sum over rounds.
     """
     m, n = spec.team1_size, spec.team2_size
-    uniform2 = uniform_strategy(spec, 2)
-    reads2: dict[HistoryClassKey, dict[int, Fraction]] = {}
+    read2 = _reader(spec, uniform_strategy(spec, 2), 2)
     for frontier, choices, picks in _prefix_walk(spec, 1, budget):
         # The pass ends before the walk resumes and updates ``picks``.
-        prefix = _histories(
-            spec, PureAdaptiveStrategy(1, picks), uniform2, spec.rounds - 1, reads2
-        )
+        read1 = _reader(spec, PureAdaptiveStrategy(1, picks), 1)
+        prefix = _histories(spec, read1, read2, spec.rounds - 1)
         grid = [[_ZERO] * n for _ in range(m)]
         reach: dict[HistoryClassKey, Fraction] = {}
         for (pairs, key), prob in prefix.items():

@@ -226,6 +226,17 @@ class TestOtherCommands:
         assert outs[0][0] == 0
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("players", ["", ",,", " , "])
+    def test_abandon_delta_without_players(self, capsys, players):
+        # Empty chunks are skipped, but a list left with no player is refused.
+        code, out, err = run_cli(
+            capsys,
+            "abandon-delta", "--example", "ex3", "--utility", "UM", "--players", players,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error[PARSE]: --players names no player: {players!r}\n"
+
     def test_abandon_delta_player_not_a_number(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -203,8 +203,11 @@ class TestValidateSpec:
             ((), "SIZE"),
             (((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3),)), "SHAPE"),
             (((Fraction(1, 2),), (Fraction(1, 3), 1)), "SHAPE"),
+            # Lists could change after the check, under the cached integer form.
+            ([[Fraction(1, 2)], [Fraction(0)]], "SHAPE"),
+            (((Fraction(1, 2),), [Fraction(0)]), "SHAPE"),
         ],
-        ids=["float", "bool", "empty", "short-row", "long-row"],
+        ids=["float", "bool", "empty", "short-row", "long-row", "list-rows", "list-row"],
     )
     def test_direct_construction_checks_grid(self, entries, code):
         with pytest.raises(ValidationError) as err:
@@ -212,9 +215,11 @@ class TestValidateSpec:
         assert err.value.code == code
 
     def test_direct_construction_checks_utility_type(self):
-        with pytest.raises(ValidationError) as err:
-            GameSpec(1, StrengthMatrix(((Fraction(1, 2),),)), UtilityTable((-0.5, 0.5)))
-        assert err.value.code == "PARSE"
+        # A list table could change after the check, as list rows could.
+        for values, code in (((-0.5, 0.5), "PARSE"), ([Fraction(-1, 2), Fraction(1, 2)], "SHAPE")):
+            with pytest.raises(ValidationError) as err:
+                GameSpec(1, StrengthMatrix(((Fraction(1, 2),),)), UtilityTable(values))
+            assert err.value.code == code
 
     @pytest.mark.parametrize("rounds", [2.0, True], ids=["float", "bool"])
     def test_direct_construction_checks_round_type(self, rounds):

@@ -159,6 +159,43 @@ class TestStageMatrix:
         with pytest.raises(TerminalClassError):
             stage_matrix(ex1_spec, result.value_table, terminal)
 
+    def test_plain_tuple_key(self, card_spec):
+        # The round is read from the masks, so a plain triple names a class,
+        # as it does in every table lookup.
+        values = solve(card_spec).value_table
+        for key in ((0, 0, 0), (0b10, 0b100, 1)):
+            plain = stage_matrix(card_spec, values, key)
+            assert plain == stage_matrix(card_spec, values, HistoryClassKey(*key))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            HistoryClassKey(0, 0, 5),  # more wins than rounds played
+            (0b1, 0b1, -1),
+            (0b1000, 0b1, 0),  # a Team-1 mask past the 3-player roster
+            (0b1, 0b1000, 0),
+            (-1, 0b1, 0),
+            (0b11, 0b1, 0),  # masks of different sizes
+        ],
+        ids=["wins-above-round", "wins-below-zero", "mask1-past", "mask2-past",
+             "mask1-negative", "sizes-differ"],
+    )
+    def test_key_naming_no_class(self, card_spec, key):
+        values = solve(card_spec).value_table
+        with pytest.raises(ValidationError) as err:
+            stage_matrix(card_spec, values, key)
+        assert err.value.code == "INDEX"
+
+    @pytest.mark.parametrize(
+        "key", [(0, 0, 0.0), (0, 0, True), ("0", 0, 0), (0, 0), "000"],
+        ids=["float", "bool", "str", "pair", "not-a-tuple"],
+    )
+    def test_key_field_not_an_int(self, card_spec, key):
+        values = solve(card_spec).value_table
+        with pytest.raises(ValidationError) as err:
+            stage_matrix(card_spec, values, key)
+        assert err.value.code == "PARSE"
+
 
 class TestSolve:
     def test_card_game(self, card_spec):
@@ -186,6 +223,16 @@ class TestSolve:
     def test_class_count_matches_table(self, ex3_um):
         result = solve(ex3_um)
         assert len(result.value_table) == class_count(4, 3, 3)
+
+    @pytest.mark.parametrize(
+        "sizes, code",
+        [((-1, 2, 3), "SIZE"), (("3", 3, 1), "PARSE"), ((3, 3, 1.0), "PARSE")],
+        ids=["negative", "str", "float"],
+    )
+    def test_class_count_arguments(self, sizes, code):
+        with pytest.raises(ValidationError) as err:
+            class_count(*sizes)
+        assert err.value.code == code
 
     def test_bellman_consistency(self):
         contests = [
@@ -847,6 +894,20 @@ def test_only_three_walks_play_the_match_rule():
     }
 
 
+def test_only_the_reader_reads_a_strategy():
+    # One read rule: every walk reads a strategy's moves through a
+    # ``_reader``, so no other code names ``_distribution_at``, imports
+    # included.
+    namers = set()
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                named = getattr(node, "id", None) or getattr(node, "name", None)
+                if named == "_distribution_at" and not isinstance(node, ast.FunctionDef):
+                    namers.add((path.name, getattr(top, "name", None)))
+    assert namers == {("solver.py", "_reader")}
+
+
 class TestMaxMeetingProbability:
     def test_bounded_by_inverse_rounds_without_spares(self):
         rng = random.Random("mmp")
@@ -1053,13 +1114,13 @@ class TestSimulationOracle:
         spec = named_instance(name, utility)
         s1, s2 = uniform_strategy(spec, 1), uniform_strategy(spec, 2)
         reads = []
-        real = montecarlo._distribution_at
+        real = solver._distribution_at
 
         def counted(spec, strategy, key):
             reads.append((strategy.team, key))
             return real(spec, strategy, key)
 
-        monkeypatch.setattr(montecarlo, "_distribution_at", counted)
+        monkeypatch.setattr(solver, "_distribution_at", counted)
         for _call in range(2):
             reads.clear()
             simulate_competitions(spec, s1, s2, F(0), 2_000, 5)
