@@ -553,7 +553,9 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
         base, pinned = named_instance(f"ex5:{rounds}"), -_ONE
     sharp = default_recruit_cap(rounds, variant)
     counts = [sharp - 1, sharp, sharp + 1]
-    results = [solve(add_dominated(base, r)).root_value for r in counts]
+    # Largest rung first: a rung over the class budget is refused before any
+    # smaller one is solved.
+    results = [solve(add_dominated(base, r)).root_value for r in counts[::-1]][::-1]
     witnesses = []
     if results[0] != pinned:
         witnesses.append(

@@ -173,18 +173,25 @@ def _exact(value: object) -> Fraction | int:
     raise ValidationError(f"not an exact rational: {value!r}", "PARSE")
 
 
+def _array(value, name: str) -> Sequence:
+    """``value`` when it is an array: a ``Sequence`` other than a str or bytes
+    (SHAPE otherwise)."""
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ValidationError(f"{name} is not an array", "SHAPE")
+    return value
+
+
 def _parse_rows(
     rows: Sequence[Sequence[RationalLike]], name: str, parse=parse_rational
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact rationals of a non-empty rectangular grid given row by row;
     ``parse`` turns each cell into one and ``name`` labels the grid in error
-    messages."""
-    if not rows:
+    messages.  The grid and each row must be arrays (SHAPE)."""
+    if not _array(rows, name):
         raise ValidationError(f"{name} needs at least one row and one column", "SIZE")
     parsed: list[tuple[Fraction, ...]] = []
     for i, row in enumerate(rows):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise ValidationError(f"{name} row {i + 1} is not an array", "SHAPE")
+        _array(row, f"{name} row {i + 1}")
         if parsed and len(row) != len(parsed[0]):
             raise ValidationError(
                 f"{name} row {i + 1} has length {len(row)}, expected {len(parsed[0])}",
@@ -264,7 +271,7 @@ class UtilityTable:
 
     @staticmethod
     def from_values(values: Sequence[RationalLike]) -> "UtilityTable":
-        if not values:
+        if not _array(values, "utility table"):
             raise ValidationError("utility table must not be empty", "SHAPE")
         return UtilityTable(tuple(parse_rational(v) for v in values))
 
@@ -476,22 +483,12 @@ def spec_from_document(doc: Mapping) -> GameSpec:
     rounds = doc["T"]
     if not isinstance(rounds, int) or isinstance(rounds, bool):
         raise ValidationError(f"field T must be an integer, got {rounds!r}", "SHAPE")
-    raw_p = doc["P"]
-    if not isinstance(raw_p, Sequence) or isinstance(raw_p, (str, bytes)):
-        raise ValidationError("field P must be an array of arrays", "SHAPE")
     raw_u = doc["U"]
-    if isinstance(raw_u, str):
-        utility: UtilityTable | Sequence = raw_u
-    elif isinstance(raw_u, Sequence):
-        if len(raw_u) != rounds + 1:
-            raise ValidationError(
-                f"field U has {len(raw_u)} entries, expected T+1 = {rounds + 1}",
-                "SHAPE",
-            )
-        utility = raw_u
-    else:
-        raise ValidationError("field U must be 'UE', 'UM', or an array", "SHAPE")
-    return make_spec(rounds, raw_p, utility)
+    if isinstance(raw_u, Sequence) and not isinstance(raw_u, str) and len(raw_u) != rounds + 1:
+        raise ValidationError(
+            f"field U has {len(raw_u)} entries, expected T+1 = {rounds + 1}", "SHAPE"
+        )
+    return make_spec(rounds, doc["P"], raw_u)
 
 
 def loads_spec(text: str) -> GameSpec:

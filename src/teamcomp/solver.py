@@ -10,15 +10,15 @@ A stage game is built in integers: with each win probability written a/Dp
 over the strength matrix's one denominator Dp and the successor values over
 the lcm D of their denominators, a cell is a*V_win + (Dp - a)*V_loss over
 D*Dp.
-Translates share one game: two win counts at the same played sets whose
-remaining utilities differ by a constant c have stage games that differ by c
-in every cell, so the later class takes the earlier one's strategies and its
-value plus c (von Neumann & Morgenstern).  Under UE every win count at a round
-is such a translate; under UM only the decided ones are.
-Player types share games too: players whose rows (Team 1) or columns (Team 2)
-of the strength matrix are equal have one type, and two first translates at a
-round whose unused players read the same types in index order, at the same
-win count, have one stage game, solved once (Gilpin & Sandholm 2007).
+One copy rule shares stage games.  Players whose rows (Team 1) or columns
+(Team 2) of the strength matrix are equal have one type.  Two classes at a
+round whose unused players read the same types in index order, and whose win
+counts have the same first translate (the lowest count whose remaining
+utilities differ by a constant c), have stage games that differ by c in every
+cell (von Neumann & Morgenstern; Gilpin & Sandholm 2007): only the first is
+solved, and each later one takes its value plus c and its mixtures, relabelled
+onto its own players.  Under UE every win count at a round is a translate of
+zero wins; under UM only the decided ones are.
 
 All class tables are computed in full, including classes no equilibrium play
 reaches, because best-response evaluation needs off-path values too.
@@ -222,8 +222,7 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
 
     for k in range(rounds - 1, -1, -1):
         # Each win count's first translate at this round and the constant
-        # between their remaining utilities; a count that is its own first
-        # gets its stage game solved, once per sequence of unused types.
+        # between their remaining utilities.
         sources: list[tuple[int, Fraction]] = []
         firsts: dict[tuple[Fraction, ...], int] = {}
         for wins in range(k + 1):
@@ -234,31 +233,32 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
         for ymask in _masks(n, k):
             col_players = unplayed(ymask, n)
             columns.append((ymask, col_players, tuple(col_type[j] for j in col_players)))
-        # The first class solved for each (types left, win count).
-        solved: dict[tuple[tuple[int, ...], tuple[int, ...], int], HistoryClassKey] = {}
+        # The copy rule's memo: the latest class at its first translate for
+        # each (types left on both sides, first translate).  A class whose key
+        # is stored copies that class, sharing a team's dict when that team's
+        # played set is the source's; so a translate copies its own twin.
+        latest: dict[tuple[tuple[int, ...], tuple[int, ...], int], HistoryClassKey] = {}
         for xmask in _masks(m, k):
             row_players = unplayed(xmask, m)
             row_types = tuple(row_type[i] for i in row_players)
             for ymask, col_players, col_types in columns:
                 for wins, (first, shift) in enumerate(sources):
                     key = HistoryClassKey(xmask, ymask, wins)
-                    if first < wins:
-                        twin = (xmask, ymask, first)
-                        values[key] = values[twin] + shift
-                        moves1[key] = moves1[twin]
-                        moves2[key] = moves2[twin]
-                        continue
-                    source = solved.setdefault((row_types, col_types, wins), key)
-                    if source is not key:
-                        values[key] = values[source]
-                        moves1[key] = dict(zip(row_players, moves1[source].values()))
-                        moves2[key] = dict(zip(col_players, moves2[source].values()))
-                        continue
-                    game = stage_matrix(spec, values, key)
-                    solution = solve_matrix(game)
-                    values[key] = solution.value
-                    moves1[key] = dict(zip(row_players, solution.row_strategy))
-                    moves2[key] = dict(zip(col_players, solution.col_strategy))
+                    source = latest.get((row_types, col_types, first))
+                    if source is None:
+                        solution = solve_matrix(stage_matrix(spec, values, key))
+                        values[key] = solution.value
+                        moves1[key] = dict(zip(row_players, solution.row_strategy))
+                        moves2[key] = dict(zip(col_players, solution.col_strategy))
+                    else:
+                        values[key] = values[source] + shift if shift else values[source]
+                        moves1[key], moves2[key] = moves1[source], moves2[source]
+                        if source.played1 != xmask:
+                            moves1[key] = dict(zip(row_players, moves1[key].values()))
+                        if source.played2 != ymask:
+                            moves2[key] = dict(zip(col_players, moves2[key].values()))
+                    if wins == first:
+                        latest[(row_types, col_types, first)] = key
 
     return SolveResult(
         spec=spec,

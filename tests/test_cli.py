@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from teamcomp import cli, explorer
+from teamcomp import analysis, cli, explorer
 from teamcomp.cli import main
 from teamcomp.model import document_from_spec, loads_spec
 from teamcomp.instances import named_instance
+from teamcomp.solver import DEFAULT_CLASS_BUDGET, class_count
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +342,21 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "lemma2", "--T", "5", "--instances", "1")
         assert code == 3
         assert "pure strategy enumeration exceeds the budget" in err
+
+    def test_theorem4_refuses_a_rung_before_solving_one(self, capsys, monkeypatch):
+        # At T=7 under UE the rungs have 30.1M, 57.0M and 102.7M classes; the
+        # smallest fits the default budget but would take gigabytes to solve.
+        real = analysis.solve
+
+        def solve_only_past_budget(spec, **kwargs):
+            size = class_count(spec.team1_size, spec.team2_size, spec.rounds)
+            assert size > DEFAULT_CLASS_BUDGET, f"asked to solve {size} classes"
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve", solve_only_past_budget)
+        code, out, err = run_cli(capsys, "verify", "theorem4", "--T", "7", "--utility", "UE")
+        assert (code, out) == (3, "")
+        assert "BUDGET" in err
 
     def test_lemma6(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "lemma6", "--Cmax", "3")

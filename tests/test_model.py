@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teamcomp import model
+from teamcomp.matrix import MatrixGame
 from teamcomp.model import (
     MAX_PLAYERS,
     GameSpec,
@@ -221,6 +222,28 @@ class TestValidateSpec:
                 GameSpec(1, StrengthMatrix(((Fraction(1, 2),),)), UtilityTable(values))
             assert err.value.code == code
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StrengthMatrix.from_rows(5),
+            lambda: MatrixGame.from_rows(3),
+            lambda: UtilityTable.from_values(5),
+            lambda: UtilityTable.from_values("01"),
+            lambda: UtilityTable.from_values({0: -1, 1: 1}),
+            lambda: make_spec(1, 5, "UE"),
+            lambda: make_spec(1, [[1]], 7),
+            lambda: make_spec(1, [[1]], b"01"),
+        ],
+        ids=["grid-int", "payoff-int", "table-int", "table-str", "table-mapping",
+             "spec-grid-int", "spec-table-int", "spec-table-bytes"],
+    )
+    def test_grid_and_table_must_be_arrays(self, build):
+        # A str or bytes would be read character by character, a mapping by
+        # its keys, and a number would end in an untyped TypeError.
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.code == "SHAPE"
+
     @pytest.mark.parametrize("rounds", [2.0, True], ids=["float", "bool"])
     def test_direct_construction_checks_round_type(self, rounds):
         # A bool would solve as T=1 and a float would fail deep in the solver.
@@ -289,6 +312,31 @@ class TestValidateSpec:
         assert "montecarlo.py" in callers
         assert [name for name in callers if name != "montecarlo.py"] == []
 
+    def test_only_three_functions_build_random_streams(self):
+        # Every random draw comes from a seeded ``random.Random`` built in one
+        # of three places; nothing uses the module's shared generator
+        # (``random.random``, ``random.choice``, ``random.seed``, ...).
+        builders, shared = set(), []
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ImportFrom) and node.module == "random":
+                        shared.append((path.name, node.lineno))
+                    elif isinstance(node, ast.Call) and ast.unparse(node.func) == "random.Random":
+                        builders.add((path.name, getattr(top, "name", None)))
+                    elif (
+                        isinstance(node, ast.Attribute)
+                        and getattr(node.value, "id", "") == "random"
+                        and node.attr != "Random"
+                    ):
+                        shared.append((path.name, node.lineno))
+        assert shared == []
+        assert builders == {
+            ("cli.py", "_seeded"),
+            ("explorer.py", "generate_instance"),
+            ("montecarlo.py", "simulate_competitions"),
+        }
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValidationError) as err:
             StrengthMatrix.from_rows([[1, 0], [0]])
@@ -322,8 +370,10 @@ class TestSpecDocuments:
             '{"T": "2", "P": [["1", "0"], ["0", "1"]], "U": "UE"}',
             '{"T": 1, "P": 5, "U": "UE"}',
             '{"T": 1, "P": [["1"]], "U": 5}',
+            # The array rule runs before the empty-grid check (SIZE).
+            '{"T": 1, "P": null, "U": "UE"}',
         ],
-        ids=["array", "str-T", "number-P", "number-U"],
+        ids=["array", "str-T", "number-P", "number-U", "null-P"],
     )
     def test_refused_documents(self, text):
         with pytest.raises(ValidationError) as err:

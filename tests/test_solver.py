@@ -410,6 +410,31 @@ class TestTypeSharing:
         assert len(calls) == games == 1_899
         assert games < sum(comb(m, k) * comb(n, k) for k in range(rounds))
 
+    # ex4 is UE, so at every round each win count is a translate of zero wins.
+    LADDER = add_dominated(named_instance("ex4:5"), 3)
+
+    def test_translates_share_their_twins_moves(self):
+        result = solve(self.LADDER)
+        for key in result.strategy1.moves:
+            twin = (key.played1, key.played2, 0)
+            assert result.strategy1.moves[key] is result.strategy1.moves[twin]
+            assert result.strategy2.moves[key] is result.strategy2.moves[twin]
+
+    def test_one_team1_dict_per_played_set_and_team2_types(self):
+        # Classes at one round with the same Team-1 played set, the same
+        # Team-2 types left and the same first translate share one dict.
+        spec = self.LADDER
+        n = spec.team2_size
+        cols = [spec.strength.col(j) for j in range(n)]
+        col_type = [cols.index(col) for col in cols]
+        moves1 = solve(spec).strategy1.moves
+        groups = {}
+        for key, moves in moves1.items():
+            types = tuple(col_type[j] for j in unplayed(key.played2, n))
+            groups.setdefault((key.played1, types), set()).add(id(moves))
+        assert len(groups) < len(moves1)
+        assert all(len(ids) == 1 for ids in groups.values())
+
 
 class TestEvaluateFixed:
     def test_ex1_uniform(self, ex1_spec):
