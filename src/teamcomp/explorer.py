@@ -215,16 +215,17 @@ def max_gain(
     utility_name: str = "",
 ) -> GainRecord:
     """Solve the contest with 0..max_recruits extra always-losing players and
-    report the best value with the smallest recruit count achieving it."""
+    report the best value with the smallest recruit count achieving it.
+
+    The largest rung is solved first, so a rung over the player limit (SIZE)
+    or the class budget (BUDGET) is refused before any smaller one is solved.
+    """
     _whole(max_recruits, "recruit cap", 0)
-    base = solve(spec).root_value
-    best = base
-    best_count = 0
-    for count in range(1, max_recruits + 1):
-        value = solve(add_dominated(spec, count)).root_value
-        if value > best:
-            best = value
-            best_count = count
+    values = [
+        solve(add_dominated(spec, count), values_only=True).root_value
+        for count in range(max_recruits, -1, -1)
+    ][::-1]
+    best = max(values)
     return GainRecord(
         index=index,
         digest=spec_digest(spec),
@@ -232,8 +233,8 @@ def max_gain(
         team1_size=spec.team1_size,
         team2_size=spec.team2_size,
         utility=utility_name,
-        recruits_used=best_count,
-        base_value=base,
+        recruits_used=values.index(best),
+        base_value=values[0],
         best_value=best,
     )
 

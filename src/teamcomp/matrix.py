@@ -109,7 +109,9 @@ class MatrixSolution:
     """Value plus one optimal mixed strategy per player.
 
     The value is the canonical output; when several optimal strategies exist
-    the solver returns the one its fixed pivot rule lands on.
+    the solver returns the one its fixed pivot rule lands on.  A solve asked
+    for no mixtures (``solve_matrix(game, mixtures=False)``) returns the same
+    value with both strategy tuples empty.
     """
 
     value: Fraction
@@ -133,13 +135,19 @@ def _distribution(weights: Sequence[RationalLike], size: int) -> tuple[tuple[int
     return ints, scale
 
 
-def solve_matrix(game: MatrixGame) -> MatrixSolution:
+def solve_matrix(game: MatrixGame, *, mixtures: bool = True) -> MatrixSolution:
     """Exact minimax value and optimal mixed strategies.
 
     Deterministic: a fixed scan order picks among pure saddle points and
     Bland's rule fixes every simplex pivot.  The certified support solve
     returns an answer only where it is the game's only equilibrium, so it is
     always the one Bland's rule lands on.
+
+    With ``mixtures=False`` the answer carries the value alone and empty
+    strategy tuples.  The same path runs to the same value, since a zero-sum
+    game has exactly one: only the reading-off of the mixtures is skipped.
+    The certified solve still runs both square solves and the certificate,
+    which prove the value, and its guess still reads its supports.
     """
     cells, den = game.cells, game.den
 
@@ -150,6 +158,8 @@ def solve_matrix(game: MatrixGame) -> MatrixSolution:
     col_maxs = [max(col) for col in zip(*cells)]
     minimax = min(col_maxs)
     if maximin == minimax:
+        if not mixtures:
+            return MatrixSolution(Fraction(maximin, den), (), ())
         i_star = row_mins.index(maximin)
         j_star = col_maxs.index(minimax)
         row = tuple(_ONE if i == i_star else _ZERO for i in range(len(row_mins)))
@@ -157,10 +167,10 @@ def solve_matrix(game: MatrixGame) -> MatrixSolution:
         return MatrixSolution(Fraction(maximin, den), row, col)
 
     if den.bit_length() >= _CUTOFF:
-        certified = _certified(cells, den, *_guess(cells))
+        certified = _certified(cells, den, *_guess(cells), mixtures)
         if certified is not None:
             return certified
-    return _simplex(cells, den)
+    return _simplex(cells, den) if mixtures else _simplex(cells, den, mixtures=False)
 
 
 def _shifted_rows(
@@ -185,7 +195,9 @@ def _shifted_rows(
     return rows, scales, shift
 
 
-def _simplex(cells: Sequence[Sequence[int]], den: int) -> MatrixSolution:
+def _simplex(
+    cells: Sequence[Sequence[int]], den: int, mixtures: bool = True
+) -> MatrixSolution:
     """Bland's simplex on the shifted game ``rows[i] / scales[i]`` of
     ``_shifted_rows``, whose entries are at least 1.
 
@@ -203,7 +215,8 @@ def _simplex(cells: Sequence[Sequence[int]], den: int) -> MatrixSolution:
     objective and each step length only grow monotonically under it.
 
     Every entry being positive, the LP is bounded and some row always leaves;
-    Bland's rule never revisits a basis, so the loop ends.
+    Bland's rule never revisits a basis, so the loop ends.  With ``mixtures``
+    false the duals are not read off and the answer carries the value alone.
     """
     tableau, scales, shift = _shifted_rows(cells, den)
     n_rows, n_cols = len(tableau), len(tableau[0])
@@ -245,20 +258,28 @@ def _simplex(cells: Sequence[Sequence[int]], den: int) -> MatrixSolution:
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
     # The basic w, and the duals times their rows' rhs, sum to prev / v'.
-    objective = tableau[-1]
-    duals = {v - n_cols: scales[v - n_cols] * objective[j]
-             for j, v in enumerate(nonbasic) if v >= n_cols}
     weights = {v: tableau[i][-1] for i, v in enumerate(basis) if v < n_cols}
-    return _solution(prev, shift, (n_rows, duals), (n_cols, weights))
+    duals = None
+    if mixtures:
+        objective = tableau[-1]
+        duals = (n_rows, {v - n_cols: scales[v - n_cols] * objective[j]
+                          for j, v in enumerate(nonbasic) if v >= n_cols})
+    return _solution(prev, shift, duals, (n_cols, weights))
 
 
 def _solution(
-    num: int, shift: int, rows: tuple[int, dict[int, int]], cols: tuple[int, dict[int, int]]
+    num: int,
+    shift: int,
+    rows: tuple[int, dict[int, int]] | None,
+    cols: tuple[int, dict[int, int]],
 ) -> MatrixSolution:
     """The answer whose mixture over each of ``rows`` and ``cols``, a
     ``(size, weights)`` pair, puts each weight over the weights' sum on its
     line and 0 on the others; the value is ``num`` over the column weights'
-    sum, less ``shift``."""
+    sum, less ``shift``.  With ``rows`` of ``None`` both mixtures are empty."""
+    value = Fraction(num, sum(cols[1].values())) - shift
+    if rows is None:
+        return MatrixSolution(value, (), ())
     strategies = []
     for size, weights in (rows, cols):
         total = sum(weights.values())
@@ -266,7 +287,7 @@ def _solution(
         for k, x in weights.items():
             mixture[k] = Fraction(x, total)
         strategies.append(tuple(mixture))
-    return MatrixSolution(Fraction(num, total) - shift, *strategies)
+    return MatrixSolution(value, *strategies)
 
 
 def _guess(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -282,7 +303,11 @@ def _guess(cells: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
 
 def _certified(
-    cells: Sequence[Sequence[int]], den: int, support_rows: list[int], support_cols: list[int]
+    cells: Sequence[Sequence[int]],
+    den: int,
+    support_rows: list[int],
+    support_cols: list[int],
+    mixtures: bool = True,
 ) -> MatrixSolution | None:
     """The equilibrium of ``cells / den`` on the given supports, if a strict
     certificate proves it the game's only one; ``None`` otherwise.
@@ -295,7 +320,8 @@ def _certified(
     less than the value against W and every column off C strictly more
     against U.  Strict complementary slackness on a nonsingular block makes
     both mixtures unique (Shapley & Snow 1950), so they are the ones Bland's
-    simplex returns.
+    simplex returns.  With ``mixtures`` false the proof runs in full and only
+    the value is read off.
     """
     if len(support_rows) != len(support_cols):
         return None
@@ -323,8 +349,8 @@ def _certified(
     ):
         return None
 
-    duals = {i: scales[i] * x for i, x in zip(support_rows, u)}
-    return _solution(delta, shift, (len(rows), duals), (len(rows[0]), dict(zip(support_cols, w))))
+    duals = (len(rows), {i: scales[i] * x for i, x in zip(support_rows, u)}) if mixtures else None
+    return _solution(delta, shift, duals, (len(rows[0]), dict(zip(support_cols, w))))
 
 
 def _solve_square(

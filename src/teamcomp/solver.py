@@ -21,7 +21,13 @@ onto its own players.  Under UE every win count at a round is a translate of
 zero wins; under UM only the decided ones are.
 
 All class tables are computed in full, including classes no equilibrium play
-reaches, because best-response evaluation needs off-path values too.
+reaches, because best-response evaluation needs off-path values too.  A
+caller that reads only values asks ``solve(spec, values_only=True)``: the same
+stage games are built and solved in the same order, but below the root each
+class keeps its value alone, so the strategies cover the root class only.  A
+zero-sum game has exactly one value and the root's stage game is the same
+integer matrix either way, so the value table and the root mixtures do not
+change.
 """
 
 from __future__ import annotations
@@ -124,7 +130,10 @@ class SolveResult:
 
     ``value_table`` covers every class; ``strategy1``/``strategy2`` hold one
     equilibrium mixture per decision class (an equilibrium, not the unique
-    one; ties are resolved by the deterministic pivot rule).
+    one; ties are resolved by the deterministic pivot rule).  A result of
+    ``solve(spec, values_only=True)`` has the same ``value_table``, but its
+    strategies hold ``ROOT_CLASS`` alone; a walk that reads them below the
+    root raises CoverageError.
     """
 
     spec: GameSpec
@@ -188,11 +197,15 @@ def stage_matrix(
     return MatrixGame(cells, common * scale)
 
 
-def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveResult:
+def solve(
+    spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET, values_only: bool = False
+) -> SolveResult:
     """Equilibrium values and strategies for every history class.
 
     Deterministic: class iteration order and every stage-game pivot are
-    fixed, so identical specs produce identical tables.
+    fixed, so identical specs produce identical tables.  With
+    ``values_only`` every class below the root stores its value alone and the
+    strategies hold the root's mixtures only.
     """
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     total = class_count(m, n, rounds)
@@ -221,6 +234,9 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     col_type = [cols.index(col) for col in cols]
 
     for k in range(rounds - 1, -1, -1):
+        # Whether this round's classes keep their mixtures: a values-only
+        # solve keeps the root's alone.
+        mixed = k == 0 or not values_only
         # Each win count's first translate at this round and the constant
         # between their remaining utilities.
         sources: list[tuple[int, Fraction]] = []
@@ -246,17 +262,22 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
                     key = HistoryClassKey(xmask, ymask, wins)
                     source = latest.get((row_types, col_types, first))
                     if source is None:
-                        solution = solve_matrix(stage_matrix(spec, values, key))
-                        values[key] = solution.value
-                        moves1[key] = dict(zip(row_players, solution.row_strategy))
-                        moves2[key] = dict(zip(col_players, solution.col_strategy))
+                        game = stage_matrix(spec, values, key)
+                        if mixed:
+                            solution = solve_matrix(game)
+                            values[key] = solution.value
+                            moves1[key] = dict(zip(row_players, solution.row_strategy))
+                            moves2[key] = dict(zip(col_players, solution.col_strategy))
+                        else:
+                            values[key] = solve_matrix(game, mixtures=False).value
                     else:
                         values[key] = values[source] + shift if shift else values[source]
-                        moves1[key], moves2[key] = moves1[source], moves2[source]
-                        if source.played1 != xmask:
-                            moves1[key] = dict(zip(row_players, moves1[key].values()))
-                        if source.played2 != ymask:
-                            moves2[key] = dict(zip(col_players, moves2[key].values()))
+                        if mixed:
+                            moves1[key], moves2[key] = moves1[source], moves2[source]
+                            if source.played1 != xmask:
+                                moves1[key] = dict(zip(row_players, moves1[key].values()))
+                            if source.played2 != ymask:
+                                moves2[key] = dict(zip(col_players, moves2[key].values()))
                     if wins == first:
                         latest[(row_types, col_types, first)] = key
 

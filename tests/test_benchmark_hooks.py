@@ -79,3 +79,32 @@ def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utilit
         solved += comb(m, k) * comb(n, k) * len(shapes)
     assert [name for name, _game in events] == ["stage_matrix", "solve_matrix"] * solved
     assert all(built is used for (_, built), (_, used) in zip(events[::2], events[1::2]))
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex5:4"])
+def test_values_only_solve_builds_and_solves_the_same_games(monkeypatch, name):
+    # A values-only solve goes through the same two bindings, in the same
+    # order and on the same games as the full one; only the root game is
+    # asked for its mixtures.
+    spec = named_instance(name)
+    build, solve_game = solver.stage_matrix, solver.solve_matrix
+    events = []
+
+    def counting_build(*args):
+        game = build(*args)
+        events.append(("stage_matrix", game))
+        return game
+
+    def counting_solve(game, **kwargs):
+        events.append(("solve_matrix", game, kwargs))
+        return solve_game(game, **kwargs)
+
+    monkeypatch.setattr(solver, "stage_matrix", counting_build)
+    monkeypatch.setattr(solver, "solve_matrix", counting_solve)
+    solver.solve(spec)
+    full, events = events, []
+    solver.solve(spec, values_only=True)
+    assert [event[:2] for event in events] == [event[:2] for event in full]
+    assert all(kwargs == {} for *_, kwargs in full[1::2])
+    lean = [{"mixtures": False}] * (len(full) // 2 - 1)
+    assert [kwargs for *_, kwargs in events[1::2]] == [*lean, {}]

@@ -26,6 +26,8 @@ PINS = {
         "b6c87347e0e682c02a72223040784b8092a2b6a9e7b6b730671c2ed1c127f22e",
     "best-response --example ex1 --team 1 --strategy uniform":
         "06ced47b8b6ac8cbc29ae262b26a331c6662f4086a399f50857b7a2ab0d76f88",
+    "best-response --example ex1 --team 1 --strategy equilibrium":
+        "407de3e796817a64a68d60bb2b074b60365f3a4ad9eb308d0a7e22f944c815e7",
     "classify --example ex2":
         "4f098b62bb0406d82a3fef7e5b435378ac5e3437ba8af6af0d0b6a1ee5757622",
     "abandon-delta --example ex3 --utility UM --team 1 --players 4":
@@ -34,6 +36,10 @@ PINS = {
         "844e2389de08fff7211a22825a057c4eea0b0b5a1d373342d103bf1679051a06",
     "verify all --seed 0 --instances 2":
         "d7b0394148cc56a3547021a8cda612bd6c2be67012100cc0c38ec534a8e6a32e",
+    "verify theorem4 --T 4 --utility UE":
+        "25276814db8202df62a972147722f56f3e695a39c5286d2391fc25742f623292",
+    "verify theorem4 --T 4 --utility UM":
+        "643675926712420f51fdff3a06bc89173405ff20667fedcec87666b3c6be815e",
     "simulate --example card --samples 100000 --seed 42":
         "ecd2cd16c38237439f41e68b99dd025c7359ca3e65d7fa804c7a7e10dd5d1f2b",
     "sweep --seed 0 --instances 40 --utility UM --out sweep.csv":

@@ -12,6 +12,7 @@ from teamcomp.explorer import (
     default_recruit_cap,
     generate_instance,
     max_gain,
+    random_square_spec,
     random_transitive_spec,
     random_weak_tail_spec,
     rationals_up_to_denominator,
@@ -19,8 +20,9 @@ from teamcomp.explorer import (
     spec_digest,
     sweep,
 )
-from teamcomp.model import ValidationError, validate_spec
+from teamcomp.model import GameModelError, ValidationError, validate_spec
 from teamcomp.instances import named_instance
+from teamcomp.solver import solve
 
 F = Fraction
 
@@ -154,6 +156,33 @@ class TestMaxGain:
         with pytest.raises(ValidationError) as err:
             max_gain(card_spec, cap)
         assert err.value.code == code
+
+    @pytest.mark.parametrize(
+        "spec, cap, code",
+        [
+            # T=4, 5x5: sixteen recruits pass the 20-player limit.
+            (generate_instance(SearchConfig(0, 300, t_range=(2, 4)), 12), 16, "SIZE"),
+            # T=10: the 20x10 rung has 230M classes, over the default budget.
+            (random_square_spec(random.Random(0), 10, 4, "UM"), 10, "BUDGET"),
+        ],
+        ids=["size", "budget"],
+    )
+    def test_top_rung_refused_before_any_solve(self, monkeypatch, spec, cap, code):
+        # The ladder is solved largest rung first, so a rung over the player
+        # limit or the class budget costs no solve of a smaller one.
+        top, asked = spec.team1_size + cap, []
+
+        def spy(rung, **kwargs):
+            asked.append(rung.team1_size)
+            if rung.team1_size != top:
+                pytest.fail(f"the {rung.team1_size}-player rung was solved first")
+            return solve(rung, **kwargs)
+
+        monkeypatch.setattr(explorer, "solve", spy)
+        with pytest.raises(GameModelError) as err:
+            max_gain(spec, cap)
+        assert err.value.code == code
+        assert asked == ([] if code == "SIZE" else [top])
 
     def test_digest_stable(self, card_spec):
         assert spec_digest(card_spec) == spec_digest(card_spec)

@@ -333,6 +333,54 @@ class TestCertified:
         assert [den.bit_length() for den in dens] == [1, 4100]
 
 
+class TestValuesOnly:
+    """``solve_matrix(g, mixtures=False)`` returns the full solve's value and
+    empty strategy tuples, on each of the three paths."""
+
+    @pytest.mark.parametrize(
+        "rows, cutoff, path",
+        [
+            ([[3, 1], [2, 0]], None, "saddle"),
+            ([[-1, -1, 1], [0, 0, -1]], None, "simplex"),
+            ([[3, -1], ["-1/2", 2]], 0, "certified"),
+        ],
+        ids=["saddle", "simplex", "certified"],
+    )
+    def test_same_value_on_each_path(self, monkeypatch, rows, cutoff, path):
+        g = game(rows)
+        if cutoff is not None:
+            monkeypatch.setattr(matrix, "_CUTOFF", cutoff)
+        seen = []
+        certify, simplex = matrix._certified, matrix._simplex
+        monkeypatch.setattr(
+            matrix, "_certified", lambda *args: seen.append("certified") or certify(*args)
+        )
+        monkeypatch.setattr(
+            matrix, "_simplex", lambda *args, **kw: seen.append("simplex") or simplex(*args, **kw)
+        )
+        full = solve_matrix(g)
+        steps = seen[:]
+        lean = solve_matrix(g, mixtures=False)
+        assert lean == MatrixSolution(full.value, (), ())
+        # Both solves take the same path.  The certified one guesses through
+        # the simplex first; a failed certificate would add a second simplex.
+        assert seen == steps * 2
+        paths = {"saddle": [], "simplex": ["simplex"], "certified": ["simplex", "certified"]}
+        assert steps == paths[path]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(degenerate_games(), small_games()), st.sampled_from([0, None]))
+    def test_same_value_as_full_solve(self, g, cutoff):
+        with pytest.MonkeyPatch.context() as patch:
+            if cutoff is not None:
+                patch.setattr(matrix, "_CUTOFF", cutoff)
+            assert solve_matrix(g, mixtures=False) == MatrixSolution(solve_matrix(g).value, (), ())
+
+    def test_mixtures_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            solve_matrix(game([[1]]), False)
+
+
 def test_division_sites():
     # The 2-adic divider has one caller, ``_solve_square``, so the simplex
     # divides with ``//`` alone; only ``solve_matrix`` and that caller read

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamcomp import montecarlo, solver
+from teamcomp import matrix, montecarlo, solver
 from teamcomp.analysis import (
     abandon,
     add_dominated,
@@ -434,6 +434,63 @@ class TestTypeSharing:
             groups.setdefault((key.played1, types), set()).add(id(moves))
         assert len(groups) < len(moves1)
         assert all(len(ids) == 1 for ids in groups.values())
+
+
+def assert_values_only_matches_full(spec):
+    """``solve(spec, values_only=True)`` holds the full solve's value table
+    and root moves, and no move below the root."""
+    full, lean = solve(spec), solve(spec, values_only=True)
+    assert lean.value_table == full.value_table
+    assert lean.root_value == full.root_value
+    assert lean.strategy1.moves == {ROOT_CLASS: full.strategy1.moves[ROOT_CLASS]}
+    assert lean.strategy2.moves == {ROOT_CLASS: full.strategy2.moves[ROOT_CLASS]}
+
+
+class TestValuesOnly:
+    @pytest.mark.parametrize("utility", ["UE", "UM"])
+    def test_random_contests_with_spares(self, utility):
+        rng = random.Random(f"values-only {utility}")
+        for rounds in (1, 2, 2, 3, 3):
+            m, n = rng.randint(rounds, rounds + 2), rng.randint(rounds + 1, rounds + 2)
+            assert_values_only_matches_full(random_spec(rng, rounds, m, n, utility=utility))
+
+    @pytest.mark.parametrize("name, recruits", [("ex4:4", 2), ("ex5:4", 3), ("ex5:5", 2)])
+    def test_recruit_ladders(self, name, recruits):
+        # Recruits repeat one row type, so most classes copy another's game.
+        assert_values_only_matches_full(add_dominated(named_instance(name), recruits))
+
+    @pytest.mark.parametrize("name", [*TYPED_CONTESTS, "ex3"])
+    def test_translates_and_types(self, name):
+        # Under UE every win count at a round is a translate of zero wins.
+        build = TYPED_CONTESTS.get(name, lambda u: named_instance(name, u))
+        assert_values_only_matches_full(build("UE"))
+
+    def test_certified_contest(self, monkeypatch):
+        # A dense majority contest whose big stage games take the certified
+        # path in both solves: a skipped certificate or a fallback fails here.
+        answers, certify = [], matrix._certified
+        monkeypatch.setattr(
+            matrix, "_certified", lambda *args: answers.append(certify(*args)) or answers[-1]
+        )
+        spec = make_spec(4, random_strength_rows(random.Random(0), 6, 6, 6), "UM")
+        assert_values_only_matches_full(spec)
+        full, lean = answers[: len(answers) // 2], answers[len(answers) // 2 :]
+        assert full and None not in answers
+        assert [answer.value for answer in lean] == [answer.value for answer in full]
+
+    def test_below_root_strategies_refused(self, ex3_um):
+        # A values-only result's strategies stop at the root, so a walk past
+        # it ends in CoverageError rather than a wrong number.
+        lean = solve(ex3_um, values_only=True)
+        for fixed in (lean.strategy1, lean.strategy2):
+            with pytest.raises(CoverageError):
+                evaluate_fixed(ex3_um, fixed)
+        with pytest.raises(CoverageError):
+            simulate_competitions(ex3_um, lean.strategy1, lean.strategy2, lean.root_value, 10, 0)
+
+    def test_one_round_contest_is_all_root(self):
+        spec = random_spec(random.Random("one round"), 1, 2, 3)
+        assert solve(spec, values_only=True) == solve(spec)
 
 
 class TestEvaluateFixed:
