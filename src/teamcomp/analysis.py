@@ -145,8 +145,8 @@ def abandonment_delta(spec: GameSpec, team: int, players: Sequence[int]) -> Frac
     abandoning team's own utility, so for Team 2 the sign flips relative to
     the solver's Team-1 values.
     """
-    before = solve(spec, values_only=True).root_value
-    after = solve(abandon(spec, team, players), values_only=True).root_value
+    before = solve(spec).root_value
+    after = solve(abandon(spec, team, players)).root_value
     delta = before - after
     return delta if team == 1 else -delta
 
@@ -325,7 +325,7 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
 
     if size > rounds:
         spare = strongest_first[rounds:]
-        trimmed = solve(abandon(spec, team, spare), values_only=True)
+        trimmed = solve(abandon(spec, team, spare))
         values["value_after_abandon"] = trimmed.root_value
         if trimmed.root_value != result.root_value:
             witnesses.append(
@@ -381,7 +381,7 @@ def check_corollary1(spec: GameSpec) -> CheckReport:
     over each team's strongest T players is an equilibrium profile."""
     if not spec.utility.monotone:
         raise PreconditionError("utility table is not monotone")
-    result = solve(spec, values_only=True)
+    result = solve(spec)
     witnesses = []
     values = {"root_value": result.root_value}
     for team in (1, 2):
@@ -507,8 +507,8 @@ def check_theorem3(spec: GameSpec) -> CheckReport:
                     f"{player_label(1, tail)} is not weaker than {player_label(1, head)}"
                 )
     is_ue = spec.utility == utility_ue(rounds)
-    with_tail = solve(spec, values_only=True).root_value
-    without_tail = solve(abandon(spec, 1, list(range(rounds, m))), values_only=True).root_value
+    with_tail = solve(spec).root_value
+    without_tail = solve(abandon(spec, 1, list(range(rounds, m)))).root_value
     witnesses = []
     if with_tail != without_tail:
         witnesses.append(
@@ -555,9 +555,7 @@ def check_theorem4(rounds: int, variant: str) -> CheckReport:
     counts = [sharp - 1, sharp, sharp + 1]
     # Largest rung first: a rung over the class budget is refused before any
     # smaller one is solved.
-    results = [
-        solve(add_dominated(base, r), values_only=True).root_value for r in counts[::-1]
-    ][::-1]
+    results = [solve(add_dominated(base, r)).root_value for r in counts[::-1]][::-1]
     witnesses = []
     if results[0] != pinned:
         witnesses.append(
@@ -603,7 +601,7 @@ def check_lemma6(c_max: int) -> CheckReport:
                     # contest is worth exactly +1 without any play.
                     value = _ONE
                 else:
-                    result = solve(gamma_game(params), values_only=True)
+                    result = solve(gamma_game(params))
                     value = result.root_value
                 values[(c, a, b)] = value
                 if not value > -1:

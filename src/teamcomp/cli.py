@@ -103,7 +103,7 @@ def _root_strategy_document(result: SolveResult, team: int) -> dict:
 
 def _cmd_solve(args) -> int:
     spec = _load_spec_arg(args)
-    result = solve(spec, class_budget=args.budget, values_only=True)
+    result = solve(spec, class_budget=args.budget)
     doc = {
         "root_value": format_rational(result.root_value),
         "antisymmetric_utility": spec.utility.antisymmetric,
@@ -123,8 +123,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_best_response(args) -> int:
     spec = _load_spec_arg(args)
-    # Only the equilibrium strategy is read below the root.
-    result = solve(spec, class_budget=args.budget, values_only=args.strategy == "uniform")
+    result = solve(spec, class_budget=args.budget)
     if args.strategy == "uniform":
         fixed = uniform_strategy(spec, args.team)
     else:
@@ -165,10 +164,8 @@ def _cmd_abandon_delta(args) -> int:
         players.append(number - 1)
     if not players:
         raise GameModelError(f"--players names no player: {args.players!r}", "PARSE")
-    before = solve(spec, class_budget=args.budget, values_only=True).root_value
-    after = solve(
-        analysis.abandon(spec, args.team, players), class_budget=args.budget, values_only=True
-    ).root_value
+    before = solve(spec, class_budget=args.budget).root_value
+    after = solve(analysis.abandon(spec, args.team, players), class_budget=args.budget).root_value
     delta = before - after if args.team == 1 else after - before
     _emit(
         {

@@ -136,8 +136,9 @@ class SearchConfig:
     """Sweep parameters, checked when built; the whole record stream is a
     pure function of these.
 
-    ``m_range`` bounds both team sizes (clamped below by the round count).
-    Strength entries are drawn with denominators up to a fixed bound of 4.
+    ``seed`` is any int (PARSE otherwise).  Each range is a (low, high) pair
+    (SHAPE otherwise); ``m_range`` bounds both team sizes (clamped below by the
+    round count).  Strength entries have denominators up to a fixed bound of 4.
     ``max_recruits`` of None means the sharp counts that are never worth
     exceeding: T-1 recruits under expected-wins scoring, floor(T/2) under
     majority scoring.  ``utility`` is stored in its canonical form, "UE" or
@@ -152,7 +153,11 @@ class SearchConfig:
     max_recruits: int | None = None
 
     def __post_init__(self) -> None:
+        _whole(self.seed, "seed", None)
         _whole(self.instances, "instances", 1)
+        for name, pair in (("round", self.t_range), ("size", self.m_range)):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"{name} range needs two ends, got {pair!r}", "SHAPE")
         for end in (*self.t_range, *self.m_range):
             _whole(end, "range end", 1)
         if not self.t_range[0] <= self.t_range[1] <= MAX_PLAYERS:
@@ -221,10 +226,7 @@ def max_gain(
     or the class budget (BUDGET) is refused before any smaller one is solved.
     """
     _whole(max_recruits, "recruit cap", 0)
-    values = [
-        solve(add_dominated(spec, count), values_only=True).root_value
-        for count in range(max_recruits, -1, -1)
-    ][::-1]
+    values = [solve(add_dominated(spec, c)).root_value for c in range(max_recruits, -1, -1)][::-1]
     best = max(values)
     return GainRecord(
         index=index,

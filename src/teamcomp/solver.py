@@ -10,36 +10,34 @@ A stage game is built in integers: with each win probability written a/Dp
 over the strength matrix's one denominator Dp and the successor values over
 the lcm D of their denominators, a cell is a*V_win + (Dp - a)*V_loss over
 D*Dp.
-One copy rule shares stage games.  Players whose rows (Team 1) or columns
-(Team 2) of the strength matrix are equal have one type.  Two classes at a
-round whose unused players read the same types in index order, and whose win
-counts have the same first translate (the lowest count whose remaining
-utilities differ by a constant c), have stage games that differ by c in every
-cell (von Neumann & Morgenstern; Gilpin & Sandholm 2007): only the first is
-solved, and each later one takes its value plus c and its mixtures, relabelled
-onto its own players.  Under UE every win count at a round is a translate of
-zero wins; under UM only the decided ones are.
+One copy rule shares values.  Players whose rows (Team 1) or columns (Team 2)
+of the strength matrix are equal have one type.  Two classes at a round whose
+unused players read the same types in index order, and whose win counts have
+the same first translate (the lowest count whose remaining utilities differ by
+a constant c), have stage games that differ by c in every cell (von Neumann &
+Morgenstern; Gilpin & Sandholm 2007): only the first is solved, and each later
+one takes its value plus c.  Under UE every win count at a round is a
+translate of zero wins; under UM only the decided ones are.
 
 All class tables are computed in full, including classes no equilibrium play
-reaches, because best-response evaluation needs off-path values too.  A
-caller that reads only values asks ``solve(spec, values_only=True)``: the same
-stage games are built and solved in the same order, but below the root each
-class keeps its value alone, so the strategies cover the root class only.  A
-zero-sum game has exactly one value and the root's stage game is the same
-integer matrix either way, so the value table and the root mixtures do not
-change.
+reaches, because best-response evaluation needs off-path values too.  Below
+the root each class stores its value alone; the root's stage game is solved
+last, with its mixtures.  Any other class's mixtures are read from its own
+stage game when first asked for, and they are the ones its copy source would
+give: a type copy's game is the same integer matrix, and Bland's pivots do not
+depend on a translate's constant.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, lcm, prod
-from typing import Callable, Iterator, Mapping
 
-from .matrix import MatrixGame, solve_matrix
+from .matrix import MatrixGame, MatrixSolution, solve_matrix
 from .model import (
     BehavioralStrategy,
     BudgetExceeded,
@@ -130,10 +128,10 @@ class SolveResult:
 
     ``value_table`` covers every class; ``strategy1``/``strategy2`` hold one
     equilibrium mixture per decision class (an equilibrium, not the unique
-    one; ties are resolved by the deterministic pivot rule).  A result of
-    ``solve(spec, values_only=True)`` has the same ``value_table``, but its
-    strategies hold ``ROOT_CLASS`` alone; a walk that reads them below the
-    root raises CoverageError.
+    one; ties are resolved by the deterministic pivot rule).  Their moves are
+    read-only mappings over the decision classes, in ``value_table``'s order;
+    a class's mixtures are solved from its stage game on its first read, once
+    for both teams.
     """
 
     spec: GameSpec
@@ -141,6 +139,33 @@ class SolveResult:
     strategy1: BehavioralStrategy
     strategy2: BehavioralStrategy
     root_value: Fraction
+
+
+@dataclass(frozen=True, eq=False)
+class _Mixtures(Mapping):
+    """Team ``team``'s equilibrium mixture at each decision class of ``table``,
+    solved from the class's stage game on first read into ``memo``, which both
+    teams share.  A key that names no decision class raises KeyError."""
+
+    spec: GameSpec
+    table: Mapping[HistoryClassKey, Fraction]
+    memo: dict[HistoryClassKey, MatrixSolution]
+    team: int
+
+    def __getitem__(self, key: HistoryClassKey) -> dict[int, Fraction]:
+        solution = self.memo.get(key)
+        if solution is None:
+            if key not in self.table or key[0].bit_count() == self.spec.rounds:
+                raise KeyError(key)
+            solution = self.memo[key] = solve_matrix(stage_matrix(self.spec, self.table, key))
+        mixture = solution.row_strategy if self.team == 1 else solution.col_strategy
+        return dict(zip(unplayed(key[self.team - 1], self.spec.team_size(self.team)), mixture))
+
+    def __iter__(self) -> Iterator[HistoryClassKey]:
+        return (key for key in self.table if key.round_index < self.spec.rounds)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def stage_matrix(
@@ -197,15 +222,12 @@ def stage_matrix(
     return MatrixGame(cells, common * scale)
 
 
-def solve(
-    spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET, values_only: bool = False
-) -> SolveResult:
-    """Equilibrium values and strategies for every history class.
+def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveResult:
+    """Equilibrium values for every history class, and the strategies that
+    read each class's mixtures off them.
 
     Deterministic: class iteration order and every stage-game pivot are
-    fixed, so identical specs produce identical tables.  With
-    ``values_only`` every class below the root stores its value alone and the
-    strategies hold the root's mixtures only.
+    fixed, so identical specs produce identical tables.
     """
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     total = class_count(m, n, rounds)
@@ -215,8 +237,6 @@ def solve(
         )
 
     values: dict[HistoryClassKey, Fraction] = {}
-    moves1: dict[HistoryClassKey, dict[int, Fraction]] = {}
-    moves2: dict[HistoryClassKey, dict[int, Fraction]] = {}
     utility = spec.utility.values
 
     for xmask in _masks(m, rounds):
@@ -233,10 +253,7 @@ def solve(
     row_type = [rows.index(row) for row in rows]
     col_type = [cols.index(col) for col in cols]
 
-    for k in range(rounds - 1, -1, -1):
-        # Whether this round's classes keep their mixtures: a values-only
-        # solve keeps the root's alone.
-        mixed = k == 0 or not values_only
+    for k in range(rounds - 1, 0, -1):
         # Each win count's first translate at this round and the constant
         # between their remaining utilities.
         sources: list[tuple[int, Fraction]] = []
@@ -245,47 +262,32 @@ def solve(
             rest = utility[wins : wins + rounds - k + 1]
             first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
             sources.append((first, rest[0] - utility[first]))
-        columns = []
-        for ymask in _masks(n, k):
-            col_players = unplayed(ymask, n)
-            columns.append((ymask, col_players, tuple(col_type[j] for j in col_players)))
+        columns = [(ym, tuple(col_type[j] for j in unplayed(ym, n))) for ym in _masks(n, k)]
         # The copy rule's memo: the latest class at its first translate for
         # each (types left on both sides, first translate).  A class whose key
-        # is stored copies that class, sharing a team's dict when that team's
-        # played set is the source's; so a translate copies its own twin.
+        # is stored takes that class's value plus its translate's constant.
         latest: dict[tuple[tuple[int, ...], tuple[int, ...], int], HistoryClassKey] = {}
         for xmask in _masks(m, k):
-            row_players = unplayed(xmask, m)
-            row_types = tuple(row_type[i] for i in row_players)
-            for ymask, col_players, col_types in columns:
+            row_types = tuple(row_type[i] for i in unplayed(xmask, m))
+            for ymask, col_types in columns:
                 for wins, (first, shift) in enumerate(sources):
                     key = HistoryClassKey(xmask, ymask, wins)
                     source = latest.get((row_types, col_types, first))
                     if source is None:
                         game = stage_matrix(spec, values, key)
-                        if mixed:
-                            solution = solve_matrix(game)
-                            values[key] = solution.value
-                            moves1[key] = dict(zip(row_players, solution.row_strategy))
-                            moves2[key] = dict(zip(col_players, solution.col_strategy))
-                        else:
-                            values[key] = solve_matrix(game, mixtures=False).value
+                        values[key] = solve_matrix(game, mixtures=False).value
                     else:
                         values[key] = values[source] + shift if shift else values[source]
-                        if mixed:
-                            moves1[key], moves2[key] = moves1[source], moves2[source]
-                            if source.played1 != xmask:
-                                moves1[key] = dict(zip(row_players, moves1[key].values()))
-                            if source.played2 != ymask:
-                                moves2[key] = dict(zip(col_players, moves2[key].values()))
                     if wins == first:
                         latest[(row_types, col_types, first)] = key
 
+    memo = {ROOT_CLASS: solve_matrix(stage_matrix(spec, values, ROOT_CLASS))}
+    values[ROOT_CLASS] = memo[ROOT_CLASS].value
     return SolveResult(
         spec=spec,
         value_table=values,
-        strategy1=BehavioralStrategy(1, moves1),
-        strategy2=BehavioralStrategy(2, moves2),
+        strategy1=BehavioralStrategy(1, _Mixtures(spec, values, memo, 1)),
+        strategy2=BehavioralStrategy(2, _Mixtures(spec, values, memo, 2)),
         root_value=values[ROOT_CLASS],
     )
 

@@ -14,6 +14,7 @@ import pytest
 
 from teamcomp import solver
 from teamcomp.instances import named_instance
+from teamcomp.model import ROOT_CLASS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,9 +63,9 @@ def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utilit
         events.append(("stage_matrix", game))
         return game
 
-    def counting_solve(game):
+    def counting_solve(game, **kwargs):
         events.append(("solve_matrix", game))
-        return solve_game(game)
+        return solve_game(game, **kwargs)
 
     monkeypatch.setattr(solver, "stage_matrix", counting_build)
     monkeypatch.setattr(solver, "solve_matrix", counting_solve)
@@ -82,17 +83,18 @@ def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utilit
 
 
 @pytest.mark.parametrize("name", ["ex3", "ex5:4"])
-def test_values_only_solve_builds_and_solves_the_same_games(monkeypatch, name):
-    # A values-only solve goes through the same two bindings, in the same
-    # order and on the same games as the full one; only the root game is
-    # asked for its mixtures.
+def test_mixtures_solved_at_the_root_and_on_first_read(monkeypatch, name):
+    # ``solve`` asks every stage game below the root for its value alone and
+    # the root's, last, for its mixtures.  Reading both teams' mixtures at
+    # another class builds and solves that class's game once, with mixtures;
+    # a second read and a read at the root solve nothing.
     spec = named_instance(name)
     build, solve_game = solver.stage_matrix, solver.solve_matrix
     events = []
 
     def counting_build(*args):
         game = build(*args)
-        events.append(("stage_matrix", game))
+        events.append(("stage_matrix", game, args[2]))
         return game
 
     def counting_solve(game, **kwargs):
@@ -101,10 +103,20 @@ def test_values_only_solve_builds_and_solves_the_same_games(monkeypatch, name):
 
     monkeypatch.setattr(solver, "stage_matrix", counting_build)
     monkeypatch.setattr(solver, "solve_matrix", counting_solve)
-    solver.solve(spec)
-    full, events = events, []
-    solver.solve(spec, values_only=True)
-    assert [event[:2] for event in events] == [event[:2] for event in full]
-    assert all(kwargs == {} for *_, kwargs in full[1::2])
-    lean = [{"mixtures": False}] * (len(full) // 2 - 1)
-    assert [kwargs for *_, kwargs in events[1::2]] == [*lean, {}]
+    result = solver.solve(spec)
+    builds, solves = events[::2], events[1::2]
+    assert [event[0] for event in events] == ["stage_matrix", "solve_matrix"] * len(solves)
+    assert all(built[1] is used[1] for built, used in zip(builds, solves))
+    assert [kwargs for *_, kwargs in solves] == [{"mixtures": False}] * (len(solves) - 1) + [{}]
+    assert builds[-1][2] == ROOT_CLASS
+
+    key = next(iter(result.strategy1.moves))
+    assert key != ROOT_CLASS
+    events.clear()
+    moves = result.strategy1.moves[key], result.strategy2.moves[key]
+    assert [event[0] for event in events] == ["stage_matrix", "solve_matrix"]
+    assert events[0][2] == key and events[0][1] is events[1][1] and events[1][2] == {}
+    events.clear()
+    assert (result.strategy1.moves[key], result.strategy2.moves[key]) == moves
+    result.strategy1.moves[ROOT_CLASS], result.strategy2.moves[ROOT_CLASS]
+    assert events == []

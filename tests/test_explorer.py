@@ -101,13 +101,30 @@ class TestGenerateInstance:
             {"t_range": (2, 3.0)},
             {"m_range": (2.5, 4)},
             {"max_recruits": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": "x"},
         ],
-        ids=["utility", "instances", "t_range", "m_range", "max_recruits"],
+        ids=[
+            "utility", "instances", "t_range", "m_range", "max_recruits",
+            "seed", "seed bool", "seed str",
+        ],
     )
     def test_config_types(self, fields):
         with pytest.raises(ValidationError) as info:
             SearchConfig(**{"seed": 0, "instances": 2, **fields})
         assert info.value.code == "PARSE"
+
+    @pytest.mark.parametrize(
+        "fields", [{"t_range": (2, 3, 4)}, {"t_range": (2,)}, {"m_range": (2, 3, 4)}]
+    )
+    def test_ranges_are_pairs(self, fields):
+        with pytest.raises(ValidationError) as info:
+            SearchConfig(seed=0, instances=2, **fields)
+        assert info.value.code == "SHAPE"
+
+    def test_negative_seed(self):
+        assert SearchConfig(seed=-3, instances=1).seed == -3
 
     def test_config_stores_canonical_utility(self):
         config = SearchConfig(seed=0, instances=1, utility=" ue")

@@ -73,7 +73,7 @@ def strategy_pairs(spec):
 def assert_each_class_solves_its_own_game(spec):
     """Every decision class holds exactly what solving its own stage game
     returns, value and both mixtures, whether ``solve`` solved that game,
-    copied a translate or shared the game of a class with the same types."""
+    copied a translate or shared the value of a class with the same types."""
     m, n = spec.team1_size, spec.team2_size
     result = solve(spec)
     for key, value in result.value_table.items():
@@ -258,7 +258,9 @@ class TestSolve:
         m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
         calls = []
         monkeypatch.setattr(
-            solver, "solve_matrix", lambda game: calls.append(game) or solve_matrix(game)
+            solver,
+            "solve_matrix",
+            lambda game, **kwargs: calls.append(game) or solve_matrix(game, **kwargs),
         )
         solve(spec)
         pairs = sum(comb(m, k) * comb(n, k) for k in range(rounds))
@@ -390,7 +392,9 @@ class TestTypeSharing:
         spec = add_dominated(named_instance("ex4:5"), 3)
         calls = []
         monkeypatch.setattr(
-            solver, "solve_matrix", lambda game: calls.append(game) or solve_matrix(game)
+            solver,
+            "solve_matrix",
+            lambda game, **kwargs: calls.append(game) or solve_matrix(game, **kwargs),
         )
         solve(spec)
         m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
@@ -414,15 +418,18 @@ class TestTypeSharing:
     LADDER = add_dominated(named_instance("ex4:5"), 3)
 
     def test_translates_share_their_twins_moves(self):
+        # Each class's mixtures are its own stage game's; a translate's game
+        # differs from its twin's by a constant, which Bland's pivots ignore.
         result = solve(self.LADDER)
         for key in result.strategy1.moves:
             twin = (key.played1, key.played2, 0)
-            assert result.strategy1.moves[key] is result.strategy1.moves[twin]
-            assert result.strategy2.moves[key] is result.strategy2.moves[twin]
+            assert result.strategy1.moves[key] == result.strategy1.moves[twin]
+            assert result.strategy2.moves[key] == result.strategy2.moves[twin]
 
-    def test_one_team1_dict_per_played_set_and_team2_types(self):
+    def test_one_team1_mixture_per_played_set_and_team2_types(self):
         # Classes at one round with the same Team-1 played set, the same
-        # Team-2 types left and the same first translate share one dict.
+        # Team-2 types left and the same first translate solve one integer
+        # matrix, up to a translate's constant, so Team 1 mixes alike there.
         spec = self.LADDER
         n = spec.team2_size
         cols = [spec.strength.col(j) for j in range(n)]
@@ -431,66 +438,77 @@ class TestTypeSharing:
         groups = {}
         for key, moves in moves1.items():
             types = tuple(col_type[j] for j in unplayed(key.played2, n))
-            groups.setdefault((key.played1, types), set()).add(id(moves))
+            groups.setdefault((key.played1, types), set()).add(tuple(moves.items()))
         assert len(groups) < len(moves1)
-        assert all(len(ids) == 1 for ids in groups.values())
-
-
-def assert_values_only_matches_full(spec):
-    """``solve(spec, values_only=True)`` holds the full solve's value table
-    and root moves, and no move below the root."""
-    full, lean = solve(spec), solve(spec, values_only=True)
-    assert lean.value_table == full.value_table
-    assert lean.root_value == full.root_value
-    assert lean.strategy1.moves == {ROOT_CLASS: full.strategy1.moves[ROOT_CLASS]}
-    assert lean.strategy2.moves == {ROOT_CLASS: full.strategy2.moves[ROOT_CLASS]}
+        assert all(len(mixtures) == 1 for mixtures in groups.values())
 
 
 class TestValuesOnly:
+    """Below the root ``solve`` keeps each class's value alone and reads
+    every mixture off the value table; each class must still hold its own
+    stage game's answer."""
+
     @pytest.mark.parametrize("utility", ["UE", "UM"])
     def test_random_contests_with_spares(self, utility):
         rng = random.Random(f"values-only {utility}")
         for rounds in (1, 2, 2, 3, 3):
             m, n = rng.randint(rounds, rounds + 2), rng.randint(rounds + 1, rounds + 2)
-            assert_values_only_matches_full(random_spec(rng, rounds, m, n, utility=utility))
+            assert_each_class_solves_its_own_game(random_spec(rng, rounds, m, n, utility=utility))
 
     @pytest.mark.parametrize("name, recruits", [("ex4:4", 2), ("ex5:4", 3), ("ex5:5", 2)])
     def test_recruit_ladders(self, name, recruits):
-        # Recruits repeat one row type, so most classes copy another's game.
-        assert_values_only_matches_full(add_dominated(named_instance(name), recruits))
+        # Recruits repeat one row type, so most classes copy another's value.
+        assert_each_class_solves_its_own_game(add_dominated(named_instance(name), recruits))
 
     @pytest.mark.parametrize("name", [*TYPED_CONTESTS, "ex3"])
     def test_translates_and_types(self, name):
         # Under UE every win count at a round is a translate of zero wins.
         build = TYPED_CONTESTS.get(name, lambda u: named_instance(name, u))
-        assert_values_only_matches_full(build("UE"))
+        assert_each_class_solves_its_own_game(build("UE"))
 
     def test_certified_contest(self, monkeypatch):
         # A dense majority contest whose big stage games take the certified
-        # path in both solves: a skipped certificate or a fallback fails here.
+        # path, both in the value pass and in the reads: a skipped
+        # certificate or a fallback fails here.
         answers, certify = [], matrix._certified
         monkeypatch.setattr(
             matrix, "_certified", lambda *args: answers.append(certify(*args)) or answers[-1]
         )
         spec = make_spec(4, random_strength_rows(random.Random(0), 6, 6, 6), "UM")
-        assert_values_only_matches_full(spec)
-        full, lean = answers[: len(answers) // 2], answers[len(answers) // 2 :]
-        assert full and None not in answers
-        assert [answer.value for answer in lean] == [answer.value for answer in full]
+        assert_each_class_solves_its_own_game(spec)
+        assert answers and None not in answers
 
-    def test_below_root_strategies_refused(self, ex3_um):
-        # A values-only result's strategies stop at the root, so a walk past
-        # it ends in CoverageError rather than a wrong number.
-        lean = solve(ex3_um, values_only=True)
-        for fixed in (lean.strategy1, lean.strategy2):
-            with pytest.raises(CoverageError):
-                evaluate_fixed(ex3_um, fixed)
+    def test_walks_read_below_the_root(self, ex3_um):
+        # Best responses and the Monte Carlo walk read mixtures past the root.
+        result = solve(ex3_um)
+        for fixed in (result.strategy1, result.strategy2):
+            assert evaluate_fixed(ex3_um, fixed) == result.root_value
+        estimate = simulate_competitions(
+            ex3_um, result.strategy1, result.strategy2, result.root_value, 200, 0
+        )
+        assert estimate.samples == 200
+
+    def test_no_move_off_the_decision_classes(self, ex3_um):
+        # As with a dict, a key that names no decision class is missing, so
+        # the reader's walk ends in CoverageError there.
+        m, n, rounds = ex3_um.team1_size, ex3_um.team2_size, ex3_um.rounds
+        result = solve(ex3_um)
+        terminal = next(key for key in result.value_table if key.round_index == rounds)
+        terminals = comb(m, rounds) * comb(n, rounds) * (rounds + 1)
+        for moves in (result.strategy1.moves, result.strategy2.moves):
+            assert len(moves) == len(set(moves)) == class_count(m, n, rounds) - terminals
+            for key in (terminal, (0, 0, 1), (1, 1, 2)):
+                assert key not in moves
+                with pytest.raises(KeyError):
+                    moves[key]
         with pytest.raises(CoverageError):
-            simulate_competitions(ex3_um, lean.strategy1, lean.strategy2, lean.root_value, 10, 0)
+            solver._reader(ex3_um, result.strategy1, 1)(terminal)
 
     def test_one_round_contest_is_all_root(self):
         spec = random_spec(random.Random("one round"), 1, 2, 3)
-        assert solve(spec, values_only=True) == solve(spec)
+        result = solve(spec)
+        assert list(result.strategy1.moves) == list(result.strategy2.moves) == [ROOT_CLASS]
+        assert_each_class_solves_its_own_game(spec)
 
 
 class TestEvaluateFixed:
@@ -988,6 +1006,19 @@ def test_only_the_reader_reads_a_strategy():
                 if named == "_distribution_at" and not isinstance(node, ast.FunctionDef):
                     namers.add((path.name, getattr(top, "name", None)))
     assert namers == {("solver.py", "_reader")}
+
+
+def test_only_the_solver_solves_stage_games():
+    # One module decides which mixtures get read: no other module under the
+    # package calls ``solve_matrix``, by name or through ``matrix``.
+    callers = set()
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "solve_matrix":
+                    callers.add(path.name)
+    assert callers == {"solver.py"}
 
 
 class TestMaxMeetingProbability:
