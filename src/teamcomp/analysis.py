@@ -43,6 +43,7 @@ from .model import (
 )
 from .solver import (
     DEFAULT_ENUM_BUDGET,
+    _check_budget,
     _require_no_spares,
     enumerate_pure_strategies,
     evaluate_fixed,
@@ -410,10 +411,11 @@ def check_lemma2(spec: GameSpec) -> CheckReport:
     _require_no_spares(spec)
     rounds = spec.rounds
     expected = Fraction(1, factorial(rounds))
+    strategies = enumerate_pure_strategies(spec, 2)
+    first = next(strategies)  # settles the budget before the uniform table is built
     uniform1 = uniform_strategy(spec, 1)
     witnesses = []
-    count = 0
-    for count, pure in enumerate(enumerate_pure_strategies(spec, 2), start=1):
+    for count, pure in enumerate(itertools.chain([first], strategies), start=1):
         dist = matching_distribution(spec, uniform1, pure)
         if len(dist) != factorial(rounds) or any(p != expected for p in dist.values()):
             witnesses.append(f"strategy #{count} skews the matching distribution")
@@ -446,8 +448,7 @@ def check_lemma5(spec: GameSpec, *, enum_budget: int = DEFAULT_ENUM_BUDGET) -> C
     for i in range(m):
         for j in range(n):
             peak = max_meeting_probability(spec, i, j)
-            if peak > worst:
-                worst = peak
+            worst = max(worst, peak)
             if peak > bound:
                 witnesses.append(
                     f"{player_label(1, i)} can meet {player_label(2, j)} "
@@ -586,6 +587,8 @@ def check_lemma6(c_max: int) -> CheckReport:
     drops when the threshold loosens.
     """
     _whole(c_max, "c_max", 1)
+    # Refuse the largest contest, SIZE or BUDGET, before solving any.
+    _check_budget(gamma_game(GammaParams(c_max, 0, 0)))
     values: dict[tuple[int, int, int], Fraction] = {}
     witnesses: list[str] = []
     for c in range(1, c_max + 1):

@@ -306,15 +306,11 @@ def sweep(config: SearchConfig) -> SweepSummary:
     skipped: list[int] = []
     for index in range(config.instances):
         spec = generate_instance(config, index)
-        cap = (
-            config.max_recruits
-            if config.max_recruits is not None
-            else default_recruit_cap(spec.rounds, utility)
-        )
+        cap = config.max_recruits
+        if cap is None:
+            cap = default_recruit_cap(spec.rounds, utility)
         try:
-            records.append(
-                max_gain(spec, cap, index=index, utility_name=utility)
-            )
+            records.append(max_gain(spec, cap, index=index, utility_name=utility))
         except GameModelError as exc:  # per-instance budget/size failures
             if exc.code not in ("BUDGET", "SIZE"):
                 raise

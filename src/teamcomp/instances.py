@@ -45,9 +45,7 @@ def _ex3(utility: str) -> GameSpec:
     # Three rounds, identity-pattern specialists plus one all-losing spare.
     # The spare is worthless under expected-wins scoring yet worth 2/3 of a
     # point under majority scoring.
-    return make_spec(
-        3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], utility
-    )
+    return make_spec(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], utility)
 
 
 def default_recruit_cap(rounds: int, utility: str) -> int:
@@ -69,6 +67,7 @@ def _identity_ladder(rounds: int, utility: str) -> GameSpec:
 
 
 EXAMPLE_NAMES = ("card", "ex1", "ex2", "ex3", "ex4:T", "ex5:T")
+_FIXED = {"card": card_game, "ex1": _ex1, "ex2": _ex2}
 
 
 def named_instance(name: str, utility: str | None = None) -> GameSpec:
@@ -83,12 +82,8 @@ def named_instance(name: str, utility: str | None = None) -> GameSpec:
     text = name.strip().lower()
     if utility is not None and text != "ex3":
         raise ValidationError(f"a utility override applies only to ex3, not {name!r}", "PARSE")
-    if text == "card":
-        return card_game()
-    if text == "ex1":
-        return _ex1()
-    if text == "ex2":
-        return _ex2()
+    if text in _FIXED:
+        return _FIXED[text]()
     if text == "ex3":
         return _ex3(utility or "UM")
     if text.startswith("ex4:") or text.startswith("ex5:"):

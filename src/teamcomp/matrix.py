@@ -170,7 +170,7 @@ def solve_matrix(game: MatrixGame, *, mixtures: bool = True) -> MatrixSolution:
         certified = _certified(cells, den, *_guess(cells), mixtures)
         if certified is not None:
             return certified
-    return _simplex(cells, den) if mixtures else _simplex(cells, den, mixtures=False)
+    return _simplex(cells, den, mixtures)
 
 
 def _shifted_rows(

@@ -304,15 +304,7 @@ def utility_um(rounds: int) -> UtilityTable:
     """Majority utility: +1 for winning more rounds than the opponent, 0 for a
     tie, -1 otherwise."""
     half = Fraction(_whole(rounds, "T", 1), 2)
-    values = []
-    for t in range(rounds + 1):
-        if t > half:
-            values.append(Fraction(1))
-        elif t == half:
-            values.append(Fraction(0))
-        else:
-            values.append(Fraction(-1))
-    return UtilityTable(tuple(values))
+    return UtilityTable(tuple(Fraction((t > half) - (t < half)) for t in range(rounds + 1)))
 
 
 @dataclass(frozen=True)

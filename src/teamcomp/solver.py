@@ -10,28 +10,29 @@ A stage game is built in integers: with each win probability written a/Dp
 over the strength matrix's one denominator Dp and the successor values over
 the lcm D of their denominators, a cell is a*V_win + (Dp - a)*V_loss over
 D*Dp.
-One copy rule shares values.  Players whose rows (Team 1) or columns (Team 2)
-of the strength matrix are equal have one type.  Two classes at a round whose
-unused players read the same types in index order, and whose win counts have
-the same first translate (the lowest count whose remaining utilities differ by
-a constant c), have stage games that differ by c in every cell (von Neumann &
-Morgenstern; Gilpin & Sandholm 2007): only the first is solved, and each later
-one takes its value plus c.  Under UE every win count at a round is a
-translate of zero wins; under UM only the decided ones are.
+One copy rule shares stage games.  Players whose rows (Team 1) or columns
+(Team 2) of the strength matrix are equal have one type.  Classes at a round
+whose unused players read the same types in index order, and whose win counts
+have the same first translate (the lowest count whose remaining utilities
+differ by a constant c), share a copy key: their stage games differ by c in
+every cell (von Neumann & Morgenstern; Gilpin & Sandholm 2007), so only the
+first is solved and each later one takes its value plus c.  Under UE every
+win count at a round is a translate of zero wins; under UM only the decided
+ones are.
 
 All class tables are computed in full, including classes no equilibrium play
 reaches, because best-response evaluation needs off-path values too.  Below
 the root each class stores its value alone; the root's stage game is solved
-last, with its mixtures.  Any other class's mixtures are read from its own
-stage game when first asked for, and they are the ones its copy source would
-give: a type copy's game is the same integer matrix, and Bland's pivots do not
-depend on a translate's constant.
+last, with its mixtures.  Other mixtures are read when first asked for, from
+the game of the first class read with the copy key: a type copy's game is the
+same integer matrix, Bland's pivots and the saddle scan ignore a translate's
+constant, and a certified answer is its game's only equilibrium.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -86,6 +87,13 @@ def class_count(team1_size: int, team2_size: int, rounds: int) -> int:
     )
 
 
+def _check_budget(spec: GameSpec, budget: int = DEFAULT_CLASS_BUDGET) -> None:
+    """BUDGET when ``spec`` has more history classes than ``budget``."""
+    total = class_count(spec.team1_size, spec.team2_size, spec.rounds)
+    if total > _whole(budget, "budget", 0):
+        raise BudgetExceeded(f"{total} history classes exceed the budget of {budget}")
+
+
 def _masks(size: int, k: int) -> Iterator[int]:
     for combo in itertools.combinations(range(size), k):
         mask = 0
@@ -130,8 +138,8 @@ class SolveResult:
     equilibrium mixture per decision class (an equilibrium, not the unique
     one; ties are resolved by the deterministic pivot rule).  Their moves are
     read-only mappings over the decision classes, in ``value_table``'s order;
-    a class's mixtures are solved from its stage game on its first read, once
-    for both teams.
+    each copy key's stage game (see the module docstring) is solved on the
+    first read of a class with that key, once for both teams.
     """
 
     spec: GameSpec
@@ -143,21 +151,24 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class _Mixtures(Mapping):
-    """Team ``team``'s equilibrium mixture at each decision class of ``table``,
-    solved from the class's stage game on first read into ``memo``, which both
-    teams share.  A key that names no decision class raises KeyError."""
+    """Team ``team``'s equilibrium mixture at each decision class of ``table``:
+    the answer in ``memo`` (shared by both teams, filled on the first read of
+    a class with a new copy key) relabelled onto the class's unused players.
+    A key that names no decision class raises KeyError."""
 
     spec: GameSpec
     table: Mapping[HistoryClassKey, Fraction]
-    memo: dict[HistoryClassKey, MatrixSolution]
+    rule: tuple
+    memo: dict[tuple, MatrixSolution]
     team: int
 
     def __getitem__(self, key: HistoryClassKey) -> dict[int, Fraction]:
-        solution = self.memo.get(key)
+        if key not in self.table or key[0].bit_count() == self.spec.rounds:
+            raise KeyError(key)
+        copy = _copy_key(self.rule, key)
+        solution = self.memo.get(copy)
         if solution is None:
-            if key not in self.table or key[0].bit_count() == self.spec.rounds:
-                raise KeyError(key)
-            solution = self.memo[key] = solve_matrix(stage_matrix(self.spec, self.table, key))
+            solution = self.memo[copy] = solve_matrix(stage_matrix(self.spec, self.table, key))
         mixture = solution.row_strategy if self.team == 1 else solution.col_strategy
         return dict(zip(unplayed(key[self.team - 1], self.spec.team_size(self.team)), mixture))
 
@@ -166,6 +177,34 @@ class _Mixtures(Mapping):
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
+
+
+def _copy_rule(spec: GameSpec) -> tuple:
+    """``(types1, types2, translates)``.  A class's copy key is
+    ``(types1(played1), types2(played2), translates[round][wins][0])``: its
+    unused players' types, a player's type being the first player with its
+    strength row (Team 1) or column (Team 2), and its win count's first
+    translate, which ``translates`` pairs with the constant between them."""
+
+    def types(lines: Sequence[tuple[int, ...]], size: int) -> Callable[[int], tuple[int, ...]]:
+        kinds = [lines.index(line) for line in lines]
+        return cache(lambda mask: tuple(kinds[i] for i in unplayed(mask, size)))
+
+    rows, utility, rounds = spec.strength.integer_form[0], spec.utility.values, spec.rounds
+    translates = []
+    for k in range(rounds):
+        firsts: dict[tuple[Fraction, ...], int] = {}
+        translates.append([])
+        for wins in range(k + 1):
+            rest = utility[wins : wins + rounds - k + 1]
+            first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
+            translates[k].append((first, rest[0] - utility[first]))
+    return types(rows, spec.team1_size), types(list(zip(*rows)), spec.team2_size), translates
+
+
+def _copy_key(rule: tuple, key: HistoryClassKey) -> tuple:
+    types1, types2, translates = rule
+    return types1(key[0]), types2(key[1]), translates[key[0].bit_count()][key[2]][0]
 
 
 def stage_matrix(
@@ -229,13 +268,8 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     Deterministic: class iteration order and every stage-game pivot are
     fixed, so identical specs produce identical tables.
     """
+    _check_budget(spec, class_budget)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    total = class_count(m, n, rounds)
-    if total > _whole(class_budget, "budget", 0):
-        raise BudgetExceeded(
-            f"{total} history classes exceed the budget of {class_budget}"
-        )
-
     values: dict[HistoryClassKey, Fraction] = {}
     utility = spec.utility.values
 
@@ -244,50 +278,32 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
             for wins in range(rounds + 1):
                 values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
 
-    # A player's type: the first player with its strength row (Team 1) or
-    # column (Team 2).  Two classes at one round whose unused players have the
-    # same types in index order lead to relabelled copies of one subgame, so
-    # at the same win count their stage games are the same integer matrix.
-    rows = spec.strength.integer_form[0]
-    cols = list(zip(*rows))
-    row_type = [rows.index(row) for row in rows]
-    col_type = [cols.index(col) for col in cols]
-
+    # The first class with each copy key solves its stage game; each later
+    # one takes that class's value plus its translate's constant.
+    rule = types1, types2, translates = _copy_rule(spec)
+    sources: dict[tuple, HistoryClassKey] = {}
     for k in range(rounds - 1, 0, -1):
-        # Each win count's first translate at this round and the constant
-        # between their remaining utilities.
-        sources: list[tuple[int, Fraction]] = []
-        firsts: dict[tuple[Fraction, ...], int] = {}
-        for wins in range(k + 1):
-            rest = utility[wins : wins + rounds - k + 1]
-            first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
-            sources.append((first, rest[0] - utility[first]))
-        columns = [(ym, tuple(col_type[j] for j in unplayed(ym, n))) for ym in _masks(n, k)]
-        # The copy rule's memo: the latest class at its first translate for
-        # each (types left on both sides, first translate).  A class whose key
-        # is stored takes that class's value plus its translate's constant.
-        latest: dict[tuple[tuple[int, ...], tuple[int, ...], int], HistoryClassKey] = {}
+        columns = [(ym, types2(ym)) for ym in _masks(n, k)]
         for xmask in _masks(m, k):
-            row_types = tuple(row_type[i] for i in unplayed(xmask, m))
+            row_types = types1(xmask)
             for ymask, col_types in columns:
-                for wins, (first, shift) in enumerate(sources):
+                for wins, (first, shift) in enumerate(translates[k]):
                     key = HistoryClassKey(xmask, ymask, wins)
-                    source = latest.get((row_types, col_types, first))
-                    if source is None:
+                    source = sources.setdefault((row_types, col_types, first), key)
+                    if source is key:
                         game = stage_matrix(spec, values, key)
                         values[key] = solve_matrix(game, mixtures=False).value
                     else:
                         values[key] = values[source] + shift if shift else values[source]
-                    if wins == first:
-                        latest[(row_types, col_types, first)] = key
 
-    memo = {ROOT_CLASS: solve_matrix(stage_matrix(spec, values, ROOT_CLASS))}
-    values[ROOT_CLASS] = memo[ROOT_CLASS].value
+    root = solve_matrix(stage_matrix(spec, values, ROOT_CLASS))
+    values[ROOT_CLASS] = root.value
+    memo = {_copy_key(rule, ROOT_CLASS): root}
     return SolveResult(
         spec=spec,
         value_table=values,
-        strategy1=BehavioralStrategy(1, _Mixtures(spec, values, memo, 1)),
-        strategy2=BehavioralStrategy(2, _Mixtures(spec, values, memo, 2)),
+        strategy1=BehavioralStrategy(1, _Mixtures(spec, values, rule, memo, 1)),
+        strategy2=BehavioralStrategy(2, _Mixtures(spec, values, rule, memo, 2)),
         root_value=values[ROOT_CLASS],
     )
 
@@ -310,9 +326,7 @@ def uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
 def _require_no_spares(spec: GameSpec) -> None:
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
     if m != rounds or n != rounds:
-        raise RedundantPlayersError(
-            f"needs team sizes equal to T (have {m} and {n}, T={rounds})"
-        )
+        raise RedundantPlayersError(f"needs team sizes equal to T (have {m} and {n}, T={rounds})")
 
 
 def _distribution_at(

@@ -32,6 +32,7 @@ from teamcomp.explorer import (
     random_weak_tail_spec,
 )
 from teamcomp.model import (
+    BudgetExceeded,
     PreconditionError,
     RedundantPlayersError,
     StrengthMatrix,
@@ -417,6 +418,18 @@ class TestLemmas:
         report = check_lemma2(spec)
         assert report.passed
         assert report.values["matching_probability"] == F(1, 2)
+
+    def test_lemma2_budget_before_uniform_table(self, monkeypatch):
+        # A T=4 square contest has more Team-2 pure strategies than the default
+        # budget.  The enumeration refuses it before Team 1's uniform strategy,
+        # a table over every decision class, is built.
+        def refuse(*args):
+            raise AssertionError("check_lemma2 built the uniform table before the budget check")
+
+        monkeypatch.setattr(analysis, "uniform_strategy", refuse)
+        spec = random_square_spec(random.Random("l2-budget"), 4, 6, "UE")
+        with pytest.raises(BudgetExceeded, match="pure strategy enumeration"):
+            check_lemma2(spec)
 
     def test_lemma2_redundant_error(self, ex1_spec):
         with pytest.raises(RedundantPlayersError):

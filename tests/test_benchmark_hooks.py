@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from teamcomp import solver
+from teamcomp.analysis import add_dominated
 from teamcomp.instances import named_instance
 from teamcomp.model import ROOT_CLASS
 
@@ -80,6 +81,27 @@ def test_solve_routes_every_stage_game_through_both_bindings(monkeypatch, utilit
         solved += comb(m, k) * comb(n, k) * len(shapes)
     assert [name for name, _game in events] == ["stage_matrix", "solve_matrix"] * solved
     assert all(built is used for (_, built), (_, used) in zip(events[::2], events[1::2]))
+
+
+def test_reads_solve_one_game_per_copy_key(monkeypatch):
+    # Reading both teams' mixtures at every decision class solves one game
+    # per copy key, as the value pass does: this ladder's 66,085 decision
+    # classes share 1,899 games (counted from its strength rows in
+    # test_solver), the root's among them.
+    spec = add_dominated(named_instance("ex4:5"), 3)
+    solve_game, mixed = solver.solve_matrix, []
+
+    def counting_solve(game, mixtures=True):
+        if mixtures:
+            mixed.append(game)
+        return solve_game(game, mixtures=mixtures)
+
+    monkeypatch.setattr(solver, "solve_matrix", counting_solve)
+    result = solver.solve(spec)
+    for key in result.strategy1.moves:
+        result.strategy1.moves[key], result.strategy2.moves[key]
+    assert len(result.strategy1.moves) == 66_085
+    assert len(mixed) == 1_899
 
 
 @pytest.mark.parametrize("name", ["ex3", "ex5:4"])

@@ -358,6 +358,25 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "BUDGET" in err
 
+    @pytest.mark.parametrize(
+        "cmax, code, error",
+        [
+            # C=9 fields 13 players a side over 77,029,525 classes; C=14 fields 21.
+            ("9", 3, "error[BUDGET]: 77029525 history classes exceed the budget"),
+            ("14", 2, "error[SIZE]: team sizes 21x21 exceed the 20-player limit"),
+        ],
+    )
+    def test_lemma6_refuses_the_largest_contest_before_solving(
+        self, capsys, monkeypatch, cmax, code, error
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_lemma6 solved a contest before refusing the largest")
+
+        monkeypatch.setattr(analysis, "solve", refuse)
+        got, out, err = run_cli(capsys, "verify", "lemma6", "--Cmax", cmax)
+        assert (got, out) == (code, "")
+        assert err.startswith(error)
+
     def test_lemma6(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "lemma6", "--Cmax", "3")
         assert code == 0

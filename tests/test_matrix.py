@@ -328,7 +328,9 @@ class TestCertified:
         )
         dens, simplex = [], matrix._simplex
         monkeypatch.setattr(
-            matrix, "_simplex", lambda cells, den: dens.append(den) or simplex(cells, den)
+            matrix,
+            "_simplex",
+            lambda cells, den, *args: dens.append(den) or simplex(cells, den, *args),
         )
         assert solve_matrix(g) == reference(g)
         assert answers == [None]
