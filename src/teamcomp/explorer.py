@@ -219,15 +219,25 @@ def max_gain(
     index: int = 0,
     utility_name: str = "",
 ) -> GainRecord:
-    """Solve the contest with 0..max_recruits extra always-losing players and
-    report the best value with the smallest recruit count achieving it.
+    """Report the contest's value with no recruits, its best value with up to
+    ``max_recruits`` extra always-losing players, and the smallest recruit
+    count achieving the best.
 
-    The largest rung is solved first, so a rung over the player limit (SIZE)
-    or the class budget (BUDGET) is refused before any smaller one is solved.
+    The value never falls as recruits are added, for any strength matrix and
+    utility table: a larger Team 1 keeps every strategy of the smaller one,
+    since it may never field a recruit.  So the best value is the top rung's,
+    and the count is the first rung, counting up from 0, that reaches it.
+    The top rung is solved first, so a rung over the player limit (SIZE) or
+    the class budget (BUDGET) is refused before any smaller one is solved;
+    then rungs 0, 1, ... until one reaches the top's value or the next is
+    the top.  No rung is solved twice.
     """
     _whole(max_recruits, "recruit cap", 0)
-    values = [solve(add_dominated(spec, c)).root_value for c in range(max_recruits, -1, -1)][::-1]
-    best = max(values)
+    best = solve(add_dominated(spec, max_recruits)).root_value
+    values: list[Fraction] = []  # rungs 0, 1, ... until one reaches the best
+    while len(values) < max_recruits and best not in values:
+        values.append(solve(add_dominated(spec, len(values))).root_value)
+    values.append(best)
     return GainRecord(
         index=index,
         digest=spec_digest(spec),

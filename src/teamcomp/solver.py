@@ -278,23 +278,28 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
             for wins in range(rounds + 1):
                 values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
 
-    # The first class with each copy key solves its stage game; each later
-    # one takes that class's value plus its translate's constant.
+    # The first pair of played masks with each pair of type sequences fills
+    # the round's values by win count: the first class with each copy key
+    # solves its stage game, and each other win count takes its first
+    # translate's value plus the constant.  Every later pair shares the list.
     rule = types1, types2, translates = _copy_rule(spec)
-    sources: dict[tuple, HistoryClassKey] = {}
+    by_types: dict[tuple, list[Fraction]] = {}
     for k in range(rounds - 1, 0, -1):
         columns = [(ym, types2(ym)) for ym in _masks(n, k)]
         for xmask in _masks(m, k):
             row_types = types1(xmask)
             for ymask, col_types in columns:
-                for wins, (first, shift) in enumerate(translates[k]):
-                    key = HistoryClassKey(xmask, ymask, wins)
-                    source = sources.setdefault((row_types, col_types, first), key)
-                    if source is key:
-                        game = stage_matrix(spec, values, key)
-                        values[key] = solve_matrix(game, mixtures=False).value
-                    else:
-                        values[key] = values[source] + shift if shift else values[source]
+                row = by_types.get((row_types, col_types))
+                if row is None:
+                    row = by_types[row_types, col_types] = []
+                    for wins, (first, shift) in enumerate(translates[k]):
+                        if first == wins:
+                            game = stage_matrix(spec, values, HistoryClassKey(xmask, ymask, wins))
+                            row.append(solve_matrix(game, mixtures=False).value)
+                        else:
+                            row.append(row[first] + shift if shift else row[first])
+                for wins, value in enumerate(row):
+                    values[HistoryClassKey(xmask, ymask, wins)] = value
 
     root = solve_matrix(stage_matrix(spec, values, ROOT_CLASS))
     values[ROOT_CLASS] = root.value
@@ -550,8 +555,10 @@ def pure_meeting_grids(
     per strategy.  A pair meets at most once, so a grid is a sum over rounds.
     """
     m, n = spec.team1_size, spec.team2_size
+    walk = _prefix_walk(spec, 1, budget)
+    first = next(walk)  # settles the budget before the uniform table is built
     read2 = _reader(spec, uniform_strategy(spec, 2), 2)
-    for frontier, choices, picks in _prefix_walk(spec, 1, budget):
+    for frontier, choices, picks in itertools.chain([first], walk):
         # The pass ends before the walk resumes and updates ``picks``.
         read1 = _reader(spec, PureAdaptiveStrategy(1, picks), 1)
         prefix = _histories(spec, read1, read2, spec.rounds - 1)

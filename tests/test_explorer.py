@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from teamcomp import explorer
-from teamcomp.analysis import abandon
+from teamcomp.analysis import abandon, add_dominated
 from teamcomp.explorer import (
     GainRecord,
     SearchConfig,
@@ -20,7 +20,7 @@ from teamcomp.explorer import (
     spec_digest,
     sweep,
 )
-from teamcomp.model import GameModelError, ValidationError, validate_spec
+from teamcomp.model import GameModelError, ValidationError, make_spec, validate_spec
 from teamcomp.instances import named_instance
 from teamcomp.solver import solve
 
@@ -204,6 +204,80 @@ class TestMaxGain:
     def test_digest_stable(self, card_spec):
         assert spec_digest(card_spec) == spec_digest(card_spec)
         assert len(spec_digest(card_spec)) == 12
+
+
+def spy_on_rungs(monkeypatch, spec):
+    """Record the recruit count of every rung ``explorer.solve`` is asked for."""
+    asked = []
+
+    def spy(rung, **kwargs):
+        asked.append(rung.team1_size - spec.team1_size)
+        return solve(rung, **kwargs)
+
+    monkeypatch.setattr(explorer, "solve", spy)
+    return asked
+
+
+class TestMaxGainScan:
+    # Ladders of T=2 and T=3 contests from the sweep's streams: random
+    # strengths and 0/1 permutation patterns, up to four recruits.
+    CAP = 4
+    STREAM = SearchConfig(seed=5, instances=12, t_range=(2, 3), m_range=(2, 4))
+    # Utility tables that rise and fall with the win count.
+    NON_MONOTONE = {2: ("1", "-2", "1/2"), 3: ("0", "1", "-1", "2")}
+
+    @pytest.mark.parametrize("utility", ["UE", "UM", "non-monotone"])
+    def test_matches_every_rung(self, monkeypatch, utility):
+        # The record equals one built from solving every rung 0..R, and the
+        # rungs solved are the top, then 0, 1, ... up to the first that
+        # reaches the top's value, each once.
+        seen = set()
+        for index in range(self.STREAM.instances):
+            spec = generate_instance(self.STREAM, index)
+            table = self.NON_MONOTONE[spec.rounds] if utility == "non-monotone" else utility
+            spec = make_spec(spec.rounds, spec.strength.entries, table)
+            rungs = [solve(add_dominated(spec, c)).root_value for c in range(self.CAP + 1)]
+            for cap in range(self.CAP + 1):
+                asked = spy_on_rungs(monkeypatch, spec)
+                record = max_gain(spec, cap)
+                values = rungs[: cap + 1]
+                best = max(values)
+                assert (record.base_value, record.best_value, record.recruits_used) == (
+                    values[0],
+                    best,
+                    values.index(best),
+                )
+                scanned = range(min(record.recruits_used, cap - 1) + 1) if cap else []
+                assert asked == [cap, *scanned]
+                if record.gain == 0:
+                    seen.add("zero")
+                else:
+                    seen.add("top" if record.recruits_used == cap else "below")
+        # Each ladder shape occurs: no gain, a gain first reached below the
+        # top rung, and one reached only at the top.
+        assert seen == {"zero", "below", "top"}
+
+    def test_zero_gain_solves_the_top_and_the_base(self, monkeypatch):
+        spec = abandon(random_weak_tail_spec(random.Random("ue-zero-gain"), 2, 3, 4), 1, [2])
+        asked = spy_on_rungs(monkeypatch, spec)
+        assert max_gain(spec, 3).gain == 0
+        assert asked == [3, 0]
+
+    @pytest.mark.parametrize(
+        "name, cap, used", [("ex5:3", 2, 1), ("ex5:3", 3, 1), ("ex5:4", 2, 2), ("ex5:4", 3, 2)]
+    )
+    def test_gain_solves_up_to_its_recruit_count(self, monkeypatch, name, cap, used):
+        spec = named_instance(name)
+        asked = spy_on_rungs(monkeypatch, spec)
+        record = max_gain(spec, cap)
+        assert record.gain > 0 and record.recruits_used == used
+        assert asked == [cap, *range(min(used, cap - 1) + 1)]
+
+    def test_cap_zero_solves_one_rung(self, monkeypatch, card_spec):
+        asked = spy_on_rungs(monkeypatch, card_spec)
+        record = max_gain(card_spec, 0)
+        assert asked == [0]
+        assert record.base_value == record.best_value == solve(card_spec).root_value
 
 
 class TestSweep:

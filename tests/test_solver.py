@@ -442,6 +442,29 @@ class TestTypeSharing:
         assert len(groups) < len(moves1)
         assert all(len(mixtures) == 1 for mixtures in groups.values())
 
+    def test_one_value_object_per_type_sequences_and_win_count(self):
+        # The value pass fills one list of values by win count per pair of
+        # type sequences and shares its objects with every later pair, so a
+        # round holds no more value objects than (rows left, columns left,
+        # wins) triples; a per-class copy would make one object per class.
+        spec = self.LADDER
+        m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
+        rows = spec.strength.entries
+        cols = [spec.strength.col(j) for j in range(n)]
+        row_type = [rows.index(row) for row in rows]
+        col_type = [cols.index(col) for col in cols]
+        table = solve(spec).value_table
+        for k in range(1, rounds):
+            triples, objects, classes = set(), set(), 0
+            for key, value in table.items():
+                if key.round_index == k:
+                    left1 = tuple(row_type[i] for i in unplayed(key.played1, m))
+                    left2 = tuple(col_type[j] for j in unplayed(key.played2, n))
+                    triples.add((left1, left2, key.wins))
+                    objects.add(id(value))
+                    classes += 1
+            assert len(objects) <= len(triples) < classes
+
 
 class TestValuesOnly:
     """Below the root ``solve`` keeps each class's value alone and reads
@@ -881,6 +904,17 @@ class TestPureMeetingGrids:
         with pytest.raises(BudgetExceeded):
             next(pure_meeting_grids(spec, budget=47))
         assert len(list(pure_meeting_grids(spec, budget=48))) == 48
+
+    def test_budget_settled_before_uniform_table(self, monkeypatch):
+        # Uniform Team 2's table covers every decision class; a refused
+        # enumeration must not build it.
+        def refuse(spec, team):
+            pytest.fail("the uniform table was built before the budget check")
+
+        monkeypatch.setattr(solver, "uniform_strategy", refuse)
+        spec = random_weak_tail_spec(random.Random(1), 6, 7, 6)
+        with pytest.raises(BudgetExceeded):
+            next(pure_meeting_grids(spec))
 
     def test_budget_type(self, card_spec):
         with pytest.raises(ValidationError) as err:
