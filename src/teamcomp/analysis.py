@@ -45,6 +45,7 @@ from .solver import (
     DEFAULT_ENUM_BUDGET,
     _check_budget,
     _require_no_spares,
+    _uniform_play,
     enumerate_pure_strategies,
     evaluate_fixed,
     matching_distribution,
@@ -366,15 +367,7 @@ def check_theorem2(spec: GameSpec, team: int = 1) -> CheckReport:
 
 def top_block_uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     """Uniform play restricted to the team's strongest T players."""
-    strongest_first = _strength_order_desc(spec, team)
-    top = set(strongest_first[: spec.rounds])
-    base = uniform_strategy(spec, team)
-    moves: dict[HistoryClassKey, dict[int, Fraction]] = {}
-    for key, dist in base.moves.items():
-        pool = [p for p in dist if p in top]
-        weight = Fraction(1, len(pool))
-        moves[key] = {p: weight for p in pool}
-    return BehavioralStrategy(team, moves)
+    return _uniform_play(spec, team, sorted(_strength_order_desc(spec, team)[: spec.rounds]))
 
 
 def check_corollary1(spec: GameSpec) -> CheckReport:

@@ -20,13 +20,15 @@ first is solved and each later one takes its value plus c.  Under UE every
 win count at a round is a translate of zero wins; under UM only the decided
 ones are.
 
-All class tables are computed in full, including classes no equilibrium play
-reaches, because best-response evaluation needs off-path values too.  Below
-the root each class stores its value alone; the root's stage game is solved
-last, with its mixtures.  Other mixtures are read when first asked for, from
-the game of the first class read with the copy key: a type copy's game is the
-same integer matrix, Bland's pivots and the saddle scan ignore a translate's
-constant, and a certified answer is its game's only equilibrium.
+Every class-indexed map (values, equilibrium and uniform moves) is one view
+over one row per pair of played sets, indexed by win count.  Values cover
+every class, off-path ones too, which best responses need: terminal pairs read
+the utility table, later pairs their type sequences' value list, the root its
+value.  Below the root a stage game yields its value alone; the root's is
+solved last, with its mixtures.  Other mixtures are read when first asked
+for, from the game of the first class read with the copy key: a type copy's
+game is the same integer matrix, Bland's pivots and the saddle scan ignore a
+translate's constant, and a certified answer is its game's only equilibrium.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, lcm, prod
 
-from .matrix import MatrixGame, MatrixSolution, solve_matrix
+from .matrix import MatrixGame, solve_matrix
 from .model import (
     BehavioralStrategy,
     BudgetExceeded,
@@ -136,10 +138,10 @@ class SolveResult:
 
     ``value_table`` covers every class; ``strategy1``/``strategy2`` hold one
     equilibrium mixture per decision class (an equilibrium, not the unique
-    one; ties are resolved by the deterministic pivot rule).  Their moves are
-    read-only mappings over the decision classes, in ``value_table``'s order;
-    each copy key's stage game (see the module docstring) is solved on the
-    first read of a class with that key, once for both teams.
+    one; ties are resolved by the deterministic pivot rule).  All three are
+    views over one row per pair of played sets, the moves over the decision
+    pairs; each copy key's stage game (see the module docstring) is solved on
+    the first read of a class with that key, once for both teams.
     """
 
     spec: GameSpec
@@ -149,34 +151,34 @@ class SolveResult:
     root_value: Fraction
 
 
-@dataclass(frozen=True, eq=False)
-class _Mixtures(Mapping):
-    """Team ``team``'s equilibrium mixture at each decision class of ``table``:
-    the answer in ``memo`` (shared by both teams, filled on the first read of
-    a class with a new copy key) relabelled onto the class's unused players.
-    A key that names no decision class raises KeyError."""
+@dataclass(frozen=True, eq=False, slots=True)
+class _Table(Mapping):
+    """Read-only map over history classes, one row per pair of played sets:
+    class ``(played1, played2, wins)`` holds ``rows[played1, played2][wins]``,
+    or ``entry`` of its key when ``entry`` is set.  Classes iterate in the
+    rows' order, win counts ascending, and a key that names no class raises
+    KeyError, as with a dict."""
 
-    spec: GameSpec
-    table: Mapping[HistoryClassKey, Fraction]
-    rule: tuple
-    memo: dict[tuple, MatrixSolution]
-    team: int
+    rows: dict[tuple[int, int], Sequence]
+    entry: Callable[[HistoryClassKey], object] | None = None
 
-    def __getitem__(self, key: HistoryClassKey) -> dict[int, Fraction]:
-        if key not in self.table or key[0].bit_count() == self.spec.rounds:
-            raise KeyError(key)
-        copy = _copy_key(self.rule, key)
-        solution = self.memo.get(copy)
-        if solution is None:
-            solution = self.memo[copy] = solve_matrix(stage_matrix(self.spec, self.table, key))
-        mixture = solution.row_strategy if self.team == 1 else solution.col_strategy
-        return dict(zip(unplayed(key[self.team - 1], self.spec.team_size(self.team)), mixture))
+    def __getitem__(self, key: HistoryClassKey):
+        try:
+            played1, played2, wins = key
+            if wins < 0:
+                raise IndexError(wins)
+            value = self.rows[played1, played2][wins]
+        except (TypeError, ValueError, KeyError, IndexError):
+            raise KeyError(key) from None
+        return value if self.entry is None else self.entry(key)
 
     def __iter__(self) -> Iterator[HistoryClassKey]:
-        return (key for key in self.table if key.round_index < self.spec.rounds)
+        for (played1, played2), row in self.rows.items():
+            for wins in range(len(row)):
+                yield HistoryClassKey(played1, played2, wins)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return sum(map(len, self.rows.values()))
 
 
 def _copy_rule(spec: GameSpec) -> tuple:
@@ -200,11 +202,6 @@ def _copy_rule(spec: GameSpec) -> tuple:
             first = firsts.setdefault(tuple(u - rest[0] for u in rest), wins)
             translates[k].append((first, rest[0] - utility[first]))
     return types(rows, spec.team1_size), types(list(zip(*rows)), spec.team2_size), translates
-
-
-def _copy_key(rule: tuple, key: HistoryClassKey) -> tuple:
-    types1, types2, translates = rule
-    return types1(key[0]), types2(key[1]), translates[key[0].bit_count()][key[2]][0]
 
 
 def stage_matrix(
@@ -270,19 +267,16 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
     """
     _check_budget(spec, class_budget)
     m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    values: dict[HistoryClassKey, Fraction] = {}
     utility = spec.utility.values
-
-    for xmask in _masks(m, rounds):
-        for ymask in _masks(n, rounds):
-            for wins in range(rounds + 1):
-                values[HistoryClassKey(xmask, ymask, wins)] = utility[wins]
+    rows = dict.fromkeys(itertools.product(_masks(m, rounds), _masks(n, rounds)), utility)
+    decisions: dict[tuple[int, int], Sequence[Fraction]] = {}
+    values = _Table(rows)
 
     # The first pair of played masks with each pair of type sequences fills
     # the round's values by win count: the first class with each copy key
     # solves its stage game, and each other win count takes its first
     # translate's value plus the constant.  Every later pair shares the list.
-    rule = types1, types2, translates = _copy_rule(spec)
+    types1, types2, translates = _copy_rule(spec)
     by_types: dict[tuple, list[Fraction]] = {}
     for k in range(rounds - 1, 0, -1):
         columns = [(ym, types2(ym)) for ym in _masks(n, k)]
@@ -298,34 +292,47 @@ def solve(spec: GameSpec, *, class_budget: int = DEFAULT_CLASS_BUDGET) -> SolveR
                             row.append(solve_matrix(game, mixtures=False).value)
                         else:
                             row.append(row[first] + shift if shift else row[first])
-                for wins, value in enumerate(row):
-                    values[HistoryClassKey(xmask, ymask, wins)] = value
+                pair = xmask, ymask
+                rows[pair] = decisions[pair] = row
 
     root = solve_matrix(stage_matrix(spec, values, ROOT_CLASS))
-    values[ROOT_CLASS] = root.value
-    memo = {_copy_key(rule, ROOT_CLASS): root}
+    rows[0, 0] = decisions[0, 0] = [root.value]
+    memo = {(types1(0), types2(0), 0): root}
+
+    def mixture(team: int, key: HistoryClassKey) -> dict[int, Fraction]:
+        copy = types1(key[0]), types2(key[1]), translates[key[0].bit_count()][key[2]][0]
+        if copy not in memo:
+            memo[copy] = solve_matrix(stage_matrix(spec, values, key))
+        weights = (memo[copy].row_strategy, memo[copy].col_strategy)[team - 1]
+        return dict(zip(unplayed(key[team - 1], spec.team_size(team)), weights))
+
     return SolveResult(
         spec=spec,
         value_table=values,
-        strategy1=BehavioralStrategy(1, _Mixtures(spec, values, rule, memo, 1)),
-        strategy2=BehavioralStrategy(2, _Mixtures(spec, values, rule, memo, 2)),
-        root_value=values[ROOT_CLASS],
+        strategy1=BehavioralStrategy(1, _Table(decisions, partial(mixture, 1))),
+        strategy2=BehavioralStrategy(2, _Table(decisions, partial(mixture, 2))),
+        root_value=root.value,
     )
+
+
+def _uniform_play(spec: GameSpec, team: int, pool: Sequence[int]) -> BehavioralStrategy:
+    """Team ``team`` picks uniformly among its unused players in ``pool`` at
+    every class; all pairs with the same own played set share one row."""
+    m, n = spec.team1_size, spec.team2_size
+    rows: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
+    for k in range(spec.rounds):
+        by_own = {}
+        for own in _masks(spec.team_size(team), k):
+            free = [i for i in pool if not (own >> i) & 1]
+            by_own[own] = [dict.fromkeys(free, Fraction(1, len(free)))] * (k + 1)
+        for pair in itertools.product(_masks(m, k), _masks(n, k)):
+            rows[pair] = by_own[pair[team - 1]]
+    return BehavioralStrategy(team, _Table(rows))
 
 
 def uniform_strategy(spec: GameSpec, team: int) -> BehavioralStrategy:
     """Pick uniformly among the team's unused players at every class."""
-    own_size = spec.team_size(team)
-    m, n, rounds = spec.team1_size, spec.team2_size, spec.rounds
-    moves: dict[HistoryClassKey, dict[int, Fraction]] = {}
-    for k in range(rounds):
-        weight = Fraction(1, own_size - k)
-        for xmask in _masks(m, k):
-            for ymask in _masks(n, k):
-                dist = {i: weight for i in unplayed((xmask, ymask)[team - 1], own_size)}
-                for wins in range(k + 1):
-                    moves[HistoryClassKey(xmask, ymask, wins)] = dist
-    return BehavioralStrategy(team, moves)
+    return _uniform_play(spec, team, range(spec.team_size(team)))
 
 
 def _require_no_spares(spec: GameSpec) -> None:

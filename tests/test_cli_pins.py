@@ -65,3 +65,23 @@ def run_digest(command: str, capsys, workdir: Path) -> str:
 def test_output_bytes_pinned(command, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_digest(command, capsys, tmp_path) == PINS[command]
+
+
+# The theorem-4 ladders repeat Team 2's columns, so most of their classes are
+# type copies that share one row of values and one stage game.
+LADDER_PINS = {
+    "solve --example ex4:3 --full":
+        "e5bcbab2a9c0ae87c632e66691bbdb297643c5cdf52e45a7b78d76566d393926",
+    "best-response --example ex4:4 --team 2 --strategy equilibrium":
+        "f70a6023a4703a4dbc5600ff4a47eddedbb56ac7e83ac33bba4af1129e6b9b1c",
+    "best-response --example ex5:4 --team 1 --strategy uniform":
+        "0550d29eddb90bb214377af0d69f79bc6714f6faaae0c0afd54074ca1dc2972f",
+    "simulate --example ex4:3 --samples 20000 --seed 1":
+        "7788243bea826ee7ddd365e636f31d55105e493d9fc19ebac0ece2b9fb37a2cc",
+}
+
+
+@pytest.mark.parametrize("command", list(LADDER_PINS))
+def test_ladder_output_bytes_pinned(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(command, capsys, tmp_path) == LADDER_PINS[command]
